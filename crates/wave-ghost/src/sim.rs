@@ -1430,6 +1430,13 @@ impl SchedStepper {
         self.sim.now()
     }
 
+    /// A lower bound on the time of the host's next event (exact unless
+    /// the next queue entry was cancelled), or `None` when nothing is
+    /// queued. Executes nothing.
+    pub fn next_event_at(&mut self) -> Option<SimTime> {
+        self.sim.next_event_at()
+    }
+
     /// Enables per-request completion logging (fleet mode). Off by
     /// default: a standalone run has no driver to drain the log.
     pub fn set_completion_log(&mut self, on: bool) {

@@ -288,7 +288,8 @@ pub struct Sim<M> {
 // `&mut self` only; nothing aliases or escapes), and every payload
 // written into them is a closure the `schedule` bounds require to be
 // `Send`. Moving the whole engine to another thread — which the fleet
-// executor does when pool workers claim hosts — is therefore sound.
+// executor does when it hands a host range to a worker thread — is
+// therefore sound.
 unsafe impl<M> Send for Sim<M> {}
 
 impl<M> Default for Sim<M> {
@@ -362,6 +363,15 @@ impl<M> Sim<M> {
     /// comes around).
     pub fn pending(&self) -> usize {
         self.pending
+    }
+
+    /// The time of the next queued event, or `None` when the queue is
+    /// empty. Executes nothing. A lazily-cancelled entry still counts,
+    /// so this is a lower bound on the next event [`Sim::run`] executes.
+    /// Takes `&mut self` because finding the entry may cascade wheel
+    /// buckets, which no caller can observe.
+    pub fn next_event_at(&mut self) -> Option<SimTime> {
+        self.peek_next().map(|e| e.at)
     }
 
     /// Sets an absolute time horizon; events strictly after the horizon are
@@ -809,6 +819,30 @@ mod tests {
         assert_eq!(log.0, vec![1]);
         assert_eq!(sim.now(), SimTime::from_ns(10));
         assert_eq!(sim.pending(), 1);
+    }
+
+    #[test]
+    fn next_event_at_peeks_without_executing() {
+        let mut sim = Sim::new();
+        assert_eq!(sim.next_event_at(), None);
+        let early = sim.schedule(SimTime::from_ns(5), |m: &mut Log, _| m.0.push(1));
+        // Far enough out to sit in overflow, not the wheel.
+        let far = SimTime::from_ns(WHEEL_SPAN * 3);
+        sim.schedule(far, |m: &mut Log, _| m.0.push(2));
+        assert_eq!(sim.next_event_at(), Some(SimTime::from_ns(5)));
+        // A cancelled entry still counts until its time comes around:
+        // the answer is a lower bound.
+        sim.cancel(early);
+        assert_eq!(sim.next_event_at(), Some(SimTime::from_ns(5)));
+        assert_eq!((sim.executed(), sim.now()), (0, SimTime::ZERO));
+        let mut log = Log::default();
+        sim.set_horizon(SimTime::from_ns(10));
+        sim.run(&mut log);
+        assert_eq!(sim.next_event_at(), Some(far));
+        sim.set_horizon(SimTime::MAX);
+        sim.run(&mut log);
+        assert_eq!(log.0, vec![2]);
+        assert_eq!(sim.next_event_at(), None);
     }
 
     #[test]

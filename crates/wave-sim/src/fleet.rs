@@ -10,29 +10,42 @@
 //! anything sent during the window lands at `sent + latency ≥ w + L`,
 //! i.e. in a later window. `L` is the *lookahead*.
 //!
-//! [`FleetExecutor`] advances all hosts window by window:
+//! [`FleetExecutor`] advances all hosts window by window on
+//! `t = min(workers, hosts, available_parallelism)` threads. The calling
+//! thread is thread 0; thread `k` always owns the same contiguous host
+//! range `k·n/t .. (k+1)·n/t`, so a host's state stays in one core's
+//! cache. Every thread runs the same window loop:
 //!
-//! 1. **Deliver**: pending cross-host messages whose delivery time falls
-//!    inside the next window are moved into each destination's inbox in
-//!    ascending `(time, src_host, seq)` order.
-//! 2. **Advance** (parallel): workers claim hosts and drain each host's
-//!    events up to the window horizon via [`FleetHost::advance`]; sends
-//!    are buffered per host, never applied directly.
-//! 3. **Barrier** (serial): outboxes are collected in host-index order,
-//!    stamped with per-source sequence numbers, routed through the
-//!    [`Transit`] model (which may add queueing delay on top of the
-//!    minimum latency), and pushed onto the pending heap.
+//! 1. **Deliver** (thread 0): pending cross-host messages whose delivery
+//!    time falls inside the next window are handed to the owning
+//!    thread's lane in ascending `(time, src_host, seq)` order.
+//! 2. **Advance** (every thread, its own range): each host with an
+//!    inbox delivery, or whose cached [`FleetHost::next_event`] lies at
+//!    or before the horizon, is drained up to the horizon via
+//!    [`FleetHost::advance`]; idle hosts are skipped. Sends are buffered
+//!    and stamped with per-source sequence numbers, never applied
+//!    directly.
+//! 3. **Collect** (thread 0): the buffered sends are sorted by
+//!    `(sent, src, seq)`, routed through the [`Transit`] model (which may
+//!    add queueing delay on top of the minimum latency), and pushed onto
+//!    the pending heap.
 //!
-//! Because the per-host advance is deterministic given its inbox, and
-//! both the delivery order and the barrier collection order are fixed by
-//! `(time, src, seq)` rather than by thread completion order, the fleet
-//! result is **bit-identical for any worker count** — `workers = 1` is
-//! the sequential reference the tests pin the parallel runs against.
+//! The phases are separated by a generation-counter barrier that spins
+//! briefly and then yields the core; capping the thread count at the
+//! core count keeps a yielding waiter from stalling the window.
+//!
+//! Because the per-host advance is deterministic given its inbox, a
+//! skipped host would have executed nothing, and both the delivery order
+//! and the collection order are fixed by `(time, src, seq)` rather than
+//! by thread completion order, the fleet result is **bit-identical for
+//! any worker count** — `workers = 1` runs the same loop on the calling
+//! thread alone and is the reference the tests pin the parallel runs
+//! against.
 
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use crate::time::SimTime;
 
@@ -90,6 +103,20 @@ pub trait FleetHost: Send {
         inbox: &mut Vec<Envelope<Self::Msg>>,
         outbox: &mut Vec<Outbound<Self::Msg>>,
     ) -> u64;
+
+    /// A lower bound on the time of this host's next local event, or
+    /// `None` when it has none.
+    ///
+    /// The executor asks once when the host joins it and again after
+    /// every [`advance`](Self::advance), and skips the host in any
+    /// window whose inbox is empty and whose horizon lies before the
+    /// bound. So an `advance` with an empty inbox and a horizon before
+    /// the bound must execute nothing and send nothing. The default,
+    /// `Some(SimTime::ZERO)`, means "always advance" and is correct for
+    /// every host.
+    fn next_event(&mut self) -> Option<SimTime> {
+        Some(SimTime::ZERO)
+    }
 }
 
 /// Maps a buffered send to its delivery time at the destination.
@@ -139,15 +166,116 @@ impl<M> Ord for Pend<M> {
     }
 }
 
-/// Per-host cell: the host plus its window buffers, behind a mutex so
-/// pool workers can claim hosts by index. Claims are unique per window
-/// (an atomic cursor hands out each index once), so the lock is always
-/// uncontended — it exists to make the aliasing safe, not to arbitrate.
+/// A buffered send stamped with its source host and per-source `seq`.
+type Stamped<M> = (u32, u64, Outbound<M>);
+
+/// Per-host cell: the host plus its window buffers. Only the thread
+/// that owns the host's range ever touches it during a run.
 struct Cell<H: FleetHost> {
     host: H,
     inbox: Vec<Envelope<H::Msg>>,
     outbox: Vec<Outbound<H::Msg>>,
+    /// The host's last [`FleetHost::next_event`] answer.
+    next: Option<SimTime>,
+    /// Sends emitted so far: the next `seq` this host stamps.
+    emit_seq: u64,
+}
+
+impl<H: FleetHost> Cell<H> {
+    /// Advances the host to `horizon` unless it is idle (empty inbox,
+    /// next local event after the horizon), stamping its sends into
+    /// `lane`.
+    fn advance(&mut self, src: u32, horizon: SimTime, lane: &mut Lane<H::Msg>) {
+        if self.inbox.is_empty() && self.next.is_none_or(|t| t > horizon) {
+            return;
+        }
+        lane.events += self
+            .host
+            .advance(horizon, &mut self.inbox, &mut self.outbox);
+        self.next = self.host.next_event();
+        for send in self.outbox.drain(..) {
+            lane.outbound.push((src, self.emit_seq, send));
+            self.emit_seq += 1;
+        }
+    }
+}
+
+/// One thread's mailbox, handed between that thread and thread 0 at
+/// the barriers. Aligned so two threads' lanes never share a cache
+/// line.
+#[repr(align(128))]
+struct Lane<M> {
+    /// This window's deliveries to the thread's hosts, in
+    /// `(at, src, seq)` order.
+    inbound: Vec<Envelope<M>>,
+    /// Sends the thread's hosts emitted this window.
+    outbound: Vec<Stamped<M>>,
+    /// Events the thread's hosts executed this window.
     events: u64,
+}
+
+/// A reusable barrier for a fixed number of threads. A waiter spins
+/// [`SpinBarrier::SPINS`] times on the generation counter, then yields
+/// the core between polls; the fleet's windows are a few µs long, so
+/// parking on a futex would cost more than the wait. If a thread
+/// panics in the window loop, the barrier is poisoned and every waiter
+/// panics too, so a failed host cannot hang the run.
+struct SpinBarrier {
+    threads: usize,
+    arrived: AtomicUsize,
+    generation: AtomicUsize,
+    poisoned: AtomicBool,
+}
+
+impl SpinBarrier {
+    const SPINS: u32 = 512;
+
+    fn new(threads: usize) -> Self {
+        SpinBarrier {
+            threads,
+            arrived: AtomicUsize::new(0),
+            generation: AtomicUsize::new(0),
+            poisoned: AtomicBool::new(false),
+        }
+    }
+
+    fn wait(&self) {
+        let gen = self.generation.load(Ordering::Acquire);
+        // AcqRel: the last arriver acquires every earlier arriver's
+        // writes; its Release bump of `generation` pairs with the
+        // waiters' Acquire loads and publishes those writes and the
+        // reset of `arrived`.
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.threads {
+            self.arrived.store(0, Ordering::Relaxed);
+            self.generation
+                .store(gen.wrapping_add(1), Ordering::Release);
+            return;
+        }
+        let mut spins = 0;
+        while self.generation.load(Ordering::Acquire) == gen {
+            assert!(
+                !self.poisoned.load(Ordering::Relaxed),
+                "a fleet thread panicked"
+            );
+            if spins < Self::SPINS {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+    }
+}
+
+/// Poisons the barrier if its thread unwinds out of the window loop.
+struct PoisonOnPanic<'a>(&'a SpinBarrier);
+
+impl Drop for PoisonOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poisoned.store(true, Ordering::Relaxed);
+        }
+    }
 }
 
 /// Aggregate statistics of one [`FleetExecutor::run_until`] call.
@@ -163,23 +291,29 @@ pub struct FleetExecStats {
 }
 
 /// The conservative windowed executor: N hosts, one logical clock each,
-/// advanced in lookahead-wide windows by a bounded worker pool.
+/// advanced in lookahead-wide windows by a fixed set of threads, each
+/// owning a contiguous range of hosts.
 pub struct FleetExecutor<H: FleetHost> {
-    cells: Vec<Mutex<Cell<H>>>,
+    cells: Vec<Cell<H>>,
     lookahead: SimTime,
     workers: usize,
     now: SimTime,
     pending: BinaryHeap<Pend<H::Msg>>,
-    /// Per-source emission counters for deterministic `seq` stamping.
-    emit_seq: Vec<u64>,
     /// Scratch for barrier-time collection, sorted by `(sent, src, seq)`.
-    collect: Vec<(u32, u64, Outbound<H::Msg>)>,
+    collect: Vec<Stamped<H::Msg>>,
     stats: FleetExecStats,
 }
 
 impl<H: FleetHost> FleetExecutor<H> {
     /// Builds an executor over `hosts` with the given lookahead (the
-    /// minimum cross-host latency) and worker count.
+    /// minimum cross-host latency) and requested worker count.
+    ///
+    /// A run uses `min(workers, hosts, available_parallelism)` threads,
+    /// the calling thread being thread 0; more threads than cores would
+    /// only take turns at every barrier. Thread `k` of `t` always
+    /// advances hosts `k·n/t .. (k+1)·n/t`. The worker count never
+    /// changes results: every count, capped or not, is bit-identical to
+    /// `workers = 1`.
     ///
     /// # Panics
     ///
@@ -192,24 +326,21 @@ impl<H: FleetHost> FleetExecutor<H> {
             "conservative execution needs nonzero lookahead"
         );
         assert!(workers >= 1, "need at least one worker");
-        let n = hosts.len();
         FleetExecutor {
             cells: hosts
                 .into_iter()
-                .map(|host| {
-                    Mutex::new(Cell {
-                        host,
-                        inbox: Vec::new(),
-                        outbox: Vec::new(),
-                        events: 0,
-                    })
+                .map(|mut host| Cell {
+                    next: host.next_event(),
+                    host,
+                    inbox: Vec::new(),
+                    outbox: Vec::new(),
+                    emit_seq: 0,
                 })
                 .collect(),
             lookahead,
             workers,
             now: SimTime::ZERO,
             pending: BinaryHeap::new(),
-            emit_seq: vec![0; n],
             collect: Vec::new(),
             stats: FleetExecStats::default(),
         }
@@ -239,8 +370,9 @@ impl<H: FleetHost> FleetExecutor<H> {
     pub fn seed_message(&mut self, at: SimTime, src: u32, dst: u32, msg: H::Msg) {
         assert!((src as usize) < self.cells.len() && (dst as usize) < self.cells.len());
         assert!(at >= self.now, "cannot seed a message in the past");
-        let seq = self.emit_seq[src as usize];
-        self.emit_seq[src as usize] += 1;
+        let cell = &mut self.cells[src as usize];
+        let seq = cell.emit_seq;
+        cell.emit_seq += 1;
         self.pending.push(Pend(Envelope {
             at,
             src,
@@ -258,190 +390,194 @@ impl<H: FleetHost> FleetExecutor<H> {
         end: SimTime,
         transit: &mut T,
     ) -> FleetExecStats {
-        if self.workers == 1 {
-            self.run_sequential(end, transit);
-        } else {
-            self.run_parallel(end, transit);
+        if self.now >= end {
+            return self.stats;
         }
-        self.stats
-    }
-
-    /// Consumes the executor, returning the hosts in index order.
-    pub fn into_hosts(self) -> Vec<H> {
-        self.cells
-            .into_iter()
-            .map(|c| c.into_inner().expect("no poisoned host cells").host)
-            .collect()
-    }
-
-    /// The workers = 1 reference: same window/barrier structure, no
-    /// threads, hosts advanced in index order.
-    fn run_sequential<T: Transit<H::Msg>>(&mut self, end: SimTime, transit: &mut T) {
-        while self.now < end {
-            let horizon = (self.now + self.lookahead).min(end);
-            deliver_due(&self.cells, &mut self.pending, &mut self.stats, horizon);
-            for cell in &self.cells {
-                let mut cell = cell.lock().expect("no poisoned host cells");
-                let Cell {
-                    host,
-                    inbox,
-                    outbox,
-                    events,
-                } = &mut *cell;
-                *events += host.advance(horizon, inbox, outbox);
-            }
-            collect_outboxes(
-                &self.cells,
-                &mut self.pending,
-                &mut self.emit_seq,
-                &mut self.collect,
-                &mut self.stats,
-                self.lookahead,
-                horizon,
-                transit,
-            );
-            self.now = horizon;
-            self.stats.windows += 1;
-        }
-    }
-
-    /// The parallel path: persistent pool workers fork/join on two
-    /// barriers per window, claiming hosts through an atomic cursor.
-    fn run_parallel<T: Transit<H::Msg>>(&mut self, end: SimTime, transit: &mut T) {
-        let workers = self.workers.min(self.cells.len());
-        let start = Barrier::new(workers + 1);
-        let done = Barrier::new(workers + 1);
-        let cursor = AtomicUsize::new(0);
-        let stop = AtomicBool::new(false);
-        let horizon_ns = AtomicU64::new(0);
-        // Split borrows: workers share &cells; the control thread keeps
-        // the pending heap, counters, and transit to itself.
+        let n = self.cells.len();
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        let threads = self.workers.min(n).min(cores);
+        // Thread k owns hosts bounds[k]..bounds[k + 1].
+        let bounds: Vec<usize> = (0..=threads).map(|k| k * n / threads).collect();
+        let lanes: Vec<Mutex<Lane<H::Msg>>> = (0..threads)
+            .map(|_| {
+                Mutex::new(Lane {
+                    inbound: Vec::new(),
+                    outbound: Vec::new(),
+                    events: 0,
+                })
+            })
+            .collect();
+        let barrier = SpinBarrier::new(threads);
         let FleetExecutor {
             cells,
             lookahead,
             now,
             pending,
-            emit_seq,
             collect,
             stats,
             ..
         } = self;
-        let cells: &[Mutex<Cell<H>>] = cells;
+        let mut ranges = Vec::with_capacity(threads);
+        let mut rest: &mut [Cell<H>] = cells;
+        for k in 0..threads {
+            let (range, tail) = rest.split_at_mut(bounds[k + 1] - bounds[k]);
+            ranges.push(range);
+            rest = tail;
+        }
+        let mut control = Control {
+            pending,
+            collect,
+            stats,
+            transit,
+            lanes: &lanes,
+            bounds: &bounds,
+            lookahead: *lookahead,
+        };
+        let window = Window {
+            start: *now,
+            end,
+            lookahead: *lookahead,
+            barrier: &barrier,
+        };
         std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    start.wait();
-                    if stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let horizon = SimTime::from_ns(horizon_ns.load(Ordering::Acquire));
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= cells.len() {
-                            break;
-                        }
-                        let mut cell = cells[i].lock().expect("no poisoned host cells");
-                        let Cell {
-                            host,
-                            inbox,
-                            outbox,
-                            events,
-                        } = &mut *cell;
-                        *events += host.advance(horizon, inbox, outbox);
-                    }
-                    done.wait();
-                });
+            let mut ranges = ranges.into_iter().enumerate();
+            let (_, own) = ranges.next().expect("at least one thread");
+            for (k, range) in ranges {
+                let (lane, first) = (&lanes[k], bounds[k]);
+                s.spawn(move || window.run::<H, T>(range, first, lane, None));
             }
-            while *now < end {
-                let horizon = (*now + *lookahead).min(end);
-                deliver_due(cells, pending, stats, horizon);
-                cursor.store(0, Ordering::Relaxed);
-                horizon_ns.store(horizon.as_ns(), Ordering::Release);
-                start.wait();
-                done.wait();
-                collect_outboxes(
-                    cells, pending, emit_seq, collect, stats, *lookahead, horizon, transit,
-                );
-                *now = horizon;
-                stats.windows += 1;
-            }
-            stop.store(true, Ordering::Release);
-            start.wait();
+            window.run(own, 0, &lanes[0], Some(&mut control));
         });
+        *now = end;
+        self.stats
+    }
+
+    /// Consumes the executor, returning the hosts in index order.
+    pub fn into_hosts(self) -> Vec<H> {
+        self.cells.into_iter().map(|c| c.host).collect()
     }
 }
 
-/// Pops every pending message due before `horizon` into the destination
-/// inboxes, in global `(at, src, seq)` order.
-fn deliver_due<H: FleetHost>(
-    cells: &[Mutex<Cell<H>>],
-    pending: &mut BinaryHeap<Pend<H::Msg>>,
-    stats: &mut FleetExecStats,
-    horizon: SimTime,
-) {
-    while let Some(p) = pending.peek() {
-        if p.0.at >= horizon {
-            break;
-        }
-        let e = pending.pop().expect("peeked").0;
-        stats.messages += 1;
-        cells[e.dst as usize]
-            .lock()
-            .expect("no poisoned host cells")
-            .inbox
-            .push(e);
-    }
-}
-
-/// Barrier: collects every host's buffered sends in deterministic
-/// order, routes them through `transit`, and enqueues deliveries.
-#[allow(clippy::too_many_arguments)]
-fn collect_outboxes<H: FleetHost, T: Transit<H::Msg>>(
-    cells: &[Mutex<Cell<H>>],
-    pending: &mut BinaryHeap<Pend<H::Msg>>,
-    emit_seq: &mut [u64],
-    scratch: &mut Vec<(u32, u64, Outbound<H::Msg>)>,
-    stats: &mut FleetExecStats,
+/// The window schedule every thread of one run follows.
+#[derive(Clone, Copy)]
+struct Window<'a> {
+    start: SimTime,
+    end: SimTime,
     lookahead: SimTime,
-    horizon: SimTime,
-    transit: &mut T,
-) {
-    scratch.clear();
-    for (src, cell) in cells.iter().enumerate() {
-        let mut cell = cell.lock().expect("no poisoned host cells");
-        stats.events += std::mem::take(&mut cell.events);
-        for send in cell.outbox.drain(..) {
-            let seq = emit_seq[src];
-            emit_seq[src] += 1;
-            scratch.push((src as u32, seq, send));
+    barrier: &'a SpinBarrier,
+}
+
+impl Window<'_> {
+    /// The window loop, identical on every thread: thread 0 (the one
+    /// holding `control`) delivers before and collects after each
+    /// window; every thread advances its own host range `cells`, whose
+    /// first host index is `first`, in between.
+    fn run<H: FleetHost, T: Transit<H::Msg>>(
+        self,
+        cells: &mut [Cell<H>],
+        first: usize,
+        lane: &Mutex<Lane<H::Msg>>,
+        mut control: Option<&mut Control<'_, H::Msg, T>>,
+    ) {
+        let _poison = PoisonOnPanic(self.barrier);
+        let mut now = self.start;
+        while now < self.end {
+            let horizon = (now + self.lookahead).min(self.end);
+            if let Some(c) = control.as_deref_mut() {
+                c.deliver(horizon);
+            }
+            self.barrier.wait();
+            {
+                let mut lane = lane.lock().expect("no poisoned lanes");
+                for e in lane.inbound.drain(..) {
+                    cells[e.dst as usize - first].inbox.push(e);
+                }
+                for (i, cell) in cells.iter_mut().enumerate() {
+                    cell.advance((first + i) as u32, horizon, &mut lane);
+                }
+            }
+            self.barrier.wait();
+            if let Some(c) = control.as_deref_mut() {
+                c.collect(horizon);
+            }
+            now = horizon;
         }
     }
-    // Physical queueing order: the fabric sees messages in send-time
-    // order, ties broken by (src, seq) — deterministic and identical
-    // for every worker count.
-    scratch.sort_by_key(|(src, seq, s)| (s.sent, *src, *seq));
-    for (src, seq, send) in scratch.drain(..) {
-        let at = transit.deliver_at(src, &send);
-        assert!(
-            at >= send.sent + lookahead,
-            "transit violated the lookahead contract: sent {} delivered {} lookahead {}",
-            send.sent,
-            at,
-            lookahead
-        );
-        // Events at exactly the horizon run inside the window, so a
-        // send stamped `horizon` is legal.
-        debug_assert!(
-            send.sent <= horizon,
-            "host emitted a send from beyond its window"
-        );
-        pending.push(Pend(Envelope {
-            at,
-            src,
-            seq,
-            dst: send.dst,
-            msg: send.msg,
-        }));
+}
+
+/// Thread 0's serial state: the pending heap, the transit model and
+/// the counters, plus every thread's lane.
+struct Control<'a, M, T> {
+    pending: &'a mut BinaryHeap<Pend<M>>,
+    collect: &'a mut Vec<Stamped<M>>,
+    stats: &'a mut FleetExecStats,
+    transit: &'a mut T,
+    lanes: &'a [Mutex<Lane<M>>],
+    bounds: &'a [usize],
+    lookahead: SimTime,
+}
+
+impl<M, T: Transit<M>> Control<'_, M, T> {
+    /// Moves every pending message due before `horizon` into the lane
+    /// of the thread owning its destination, in global `(at, src, seq)`
+    /// order.
+    fn deliver(&mut self, horizon: SimTime) {
+        if self.pending.peek().is_none_or(|p| p.0.at >= horizon) {
+            return;
+        }
+        let mut lanes: Vec<_> = self
+            .lanes
+            .iter()
+            .map(|l| l.lock().expect("no poisoned lanes"))
+            .collect();
+        while let Some(p) = self.pending.peek() {
+            if p.0.at >= horizon {
+                break;
+            }
+            let e = self.pending.pop().expect("peeked").0;
+            self.stats.messages += 1;
+            let owner = self.bounds.partition_point(|&b| b <= e.dst as usize) - 1;
+            lanes[owner].inbound.push(e);
+        }
+    }
+
+    /// Collects every thread's buffered sends, routes them through the
+    /// transit in `(sent, src, seq)` order, and enqueues the deliveries.
+    fn collect(&mut self, horizon: SimTime) {
+        for lane in self.lanes {
+            let mut lane = lane.lock().expect("no poisoned lanes");
+            self.stats.events += std::mem::take(&mut lane.events);
+            self.collect.append(&mut lane.outbound);
+        }
+        // Physical queueing order: the fabric sees messages in send-time
+        // order, ties broken by (src, seq) — deterministic and identical
+        // for every worker count.
+        self.collect
+            .sort_unstable_by_key(|(src, seq, s)| (s.sent, *src, *seq));
+        for (src, seq, send) in self.collect.drain(..) {
+            let at = self.transit.deliver_at(src, &send);
+            assert!(
+                at >= send.sent + self.lookahead,
+                "transit violated the lookahead contract: sent {} delivered {} lookahead {}",
+                send.sent,
+                at,
+                self.lookahead
+            );
+            // Events at exactly the horizon run inside the window, so a
+            // send stamped `horizon` is legal.
+            debug_assert!(
+                send.sent <= horizon,
+                "host emitted a send from beyond its window"
+            );
+            self.pending.push(Pend(Envelope {
+                at,
+                src,
+                seq,
+                dst: send.dst,
+                msg: send.msg,
+            }));
+        }
+        self.stats.windows += 1;
     }
 }
 
@@ -533,6 +669,10 @@ mod tests {
             let executed = self.sim.run(&mut self.model);
             outbox.append(&mut self.model.out);
             executed
+        }
+
+        fn next_event(&mut self) -> Option<SimTime> {
+            self.sim.next_event_at()
         }
     }
 
@@ -712,5 +852,130 @@ mod tests {
         let mut ex = FleetExecutor::new(hosts, SimTime::from_us(1), 1);
         ex.seed_message(SimTime::from_ns(10), 0, 1, ToyMsg { value: 1, ttl: 1 });
         ex.run_until(SimTime::from_us(50), &mut TooFast);
+    }
+
+    /// Counts its `advance` calls; it has no local events, so with
+    /// `idle_when_empty` it reports `None` and is idle whenever its
+    /// inbox is.
+    struct Counting {
+        calls: u64,
+        idle_when_empty: bool,
+    }
+
+    impl FleetHost for Counting {
+        type Msg = ToyMsg;
+
+        fn advance(
+            &mut self,
+            _horizon: SimTime,
+            inbox: &mut Vec<Envelope<ToyMsg>>,
+            _outbox: &mut Vec<Outbound<ToyMsg>>,
+        ) -> u64 {
+            self.calls += 1;
+            let n = inbox.len() as u64;
+            inbox.clear();
+            n
+        }
+
+        fn next_event(&mut self) -> Option<SimTime> {
+            if self.idle_when_empty {
+                None
+            } else {
+                Some(SimTime::ZERO)
+            }
+        }
+    }
+
+    fn counting_run(idle_when_empty: bool, workers: usize, end: SimTime) -> (Vec<u64>, u64) {
+        let hosts = (0..4)
+            .map(|_| Counting {
+                calls: 0,
+                idle_when_empty,
+            })
+            .collect();
+        let mut ex = FleetExecutor::new(hosts, SimTime::from_us(3), workers);
+        ex.seed_message(SimTime::from_us(7), 0, 2, ToyMsg { value: 1, ttl: 0 });
+        let stats = ex.run_until(
+            end,
+            &mut UniformTransit {
+                latency: ex.lookahead(),
+            },
+        );
+        let calls = ex.into_hosts().iter().map(|h| h.calls).collect();
+        (calls, stats.windows)
+    }
+
+    #[test]
+    fn idle_hosts_are_never_advanced() {
+        let end = SimTime::from_us(100);
+        for workers in [1usize, 2, 4] {
+            let (calls, _) = counting_run(true, workers, end);
+            assert_eq!(calls, vec![0, 0, 1, 0], "workers = {workers}");
+            // The default bound advances every host in every window.
+            let (calls, windows) = counting_run(false, workers, end);
+            assert_eq!(calls, vec![windows; 4], "workers = {workers}");
+        }
+    }
+
+    #[test]
+    fn windows_are_never_merged_or_skipped() {
+        // ⌈end ÷ lookahead⌉ windows even when every host is idle.
+        for (end_us, want) in [(100u64, 34u64), (99, 33), (1, 1)] {
+            let (_, windows) = counting_run(true, 2, SimTime::from_us(end_us));
+            assert_eq!(windows, want, "end = {end_us} µs");
+        }
+        let (n, l) = (4u32, SimTime::from_us(3));
+        let hosts = (0..n).map(|i| ToyHost::new(i, n)).collect();
+        let mut ex = FleetExecutor::new(hosts, l, 2);
+        ex.seed_message(SimTime::from_ns(50), 0, 1, ToyMsg { value: 9, ttl: 4 });
+        let stats = ex.run_until(SimTime::from_us(200), &mut UniformTransit { latency: l });
+        assert_eq!(stats.windows, 67);
+    }
+
+    #[test]
+    fn workers_beyond_the_core_count_are_bit_identical() {
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        let (n, l, end) = (12u32, SimTime::from_us(2), SimTime::from_ms(1));
+        let seeds = seeds_for(11, n);
+        let base = windowed_run(n, 1, &seeds, &mut UniformTransit { latency: l }, l, end);
+        for workers in [cores + 1, 4 * cores + 3] {
+            let capped = windowed_run(
+                n,
+                workers,
+                &seeds,
+                &mut UniformTransit { latency: l },
+                l,
+                end,
+            );
+            assert_eq!(base, capped, "workers = {workers}");
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_panicking_host_fails_the_run_instead_of_hanging() {
+        struct Faulty(bool);
+        impl FleetHost for Faulty {
+            type Msg = ToyMsg;
+            fn advance(
+                &mut self,
+                _horizon: SimTime,
+                inbox: &mut Vec<Envelope<ToyMsg>>,
+                _outbox: &mut Vec<Outbound<ToyMsg>>,
+            ) -> u64 {
+                assert!(!self.0 || inbox.is_empty(), "host failed");
+                inbox.clear();
+                0
+            }
+        }
+        let hosts = (0..4).map(|i| Faulty(i == 3)).collect();
+        let mut ex = FleetExecutor::new(hosts, SimTime::from_us(1), 4);
+        ex.seed_message(SimTime::from_us(5), 0, 3, ToyMsg { value: 1, ttl: 0 });
+        ex.run_until(
+            SimTime::from_us(50),
+            &mut UniformTransit {
+                latency: ex.lookahead(),
+            },
+        );
     }
 }

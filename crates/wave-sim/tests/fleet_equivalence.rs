@@ -248,3 +248,228 @@ proptest! {
         prop_assert_eq!(tight, exact);
     }
 }
+
+/// A cascade host with local events: each delivery arms a timer a
+/// state-derived delay later, and the timer, when it fires, folds into
+/// the accumulator again and sends the follow-up. The host is idle
+/// between timers, which is what the executor's idle-host skip relies
+/// on [`FleetHost::next_event`] to detect.
+struct TimerModel {
+    inner: Model,
+    /// Armed timers keyed by `(fire time, arming order)`.
+    timers: std::collections::BTreeMap<(SimTime, u64), Msg>,
+    armed: u64,
+}
+
+impl TimerModel {
+    fn new(idx: u32, n: u32) -> Self {
+        TimerModel {
+            inner: Model::new(idx, n),
+            timers: Default::default(),
+            armed: 0,
+        }
+    }
+
+    fn next_timer(&self) -> Option<SimTime> {
+        self.timers.keys().next().map(|&(t, _)| t)
+    }
+
+    fn deliver(&mut self, at: SimTime, src: u32, m: Msg) {
+        let model = &mut self.inner;
+        model.acc = mix(model.acc ^ mix(src as u64) ^ m.value ^ at.as_ns());
+        model.log.push(model.acc);
+        if m.ttl > 0 {
+            // Whole microseconds, often exactly on a window horizon
+            // and sometimes at `at` itself.
+            let fire = SimTime::from_us(at.as_ns().div_ceil(1_000) + model.acc % 3);
+            self.timers.insert((fire, self.armed), m);
+            self.armed += 1;
+        }
+    }
+
+    /// Fires the earliest timer: the same fold-and-send as [`Model`].
+    fn fire(&mut self, out: &mut Vec<Outbound<Msg>>) {
+        let ((at, _), m) = self.timers.pop_first().expect("a timer is armed");
+        let src = self.inner.n;
+        self.inner.deliver(at, src, m, out);
+    }
+}
+
+/// How a [`TimedHost`] answers [`FleetHost::next_event`].
+#[derive(Debug, Clone, Copy)]
+enum Bound {
+    /// The exact time of the earliest armed timer, `None` when idle.
+    Exact,
+    /// Always `Some(ZERO)`: the executor may never skip the host.
+    Always,
+}
+
+/// Windowed host over [`TimerModel`]: merges the inbox with the timers
+/// in time order up to and including the horizon. On a tie the timer
+/// fires first, matching a timer-wheel host, where a local event at the
+/// horizon runs before a delivery stamped with the same time (which
+/// only arrives in the next window).
+struct TimedHost(TimerModel, Bound);
+
+impl FleetHost for TimedHost {
+    type Msg = Msg;
+
+    fn advance(
+        &mut self,
+        horizon: SimTime,
+        inbox: &mut Vec<Envelope<Msg>>,
+        outbox: &mut Vec<Outbound<Msg>>,
+    ) -> u64 {
+        let mut executed = 0;
+        let mut deliveries = inbox.drain(..).peekable();
+        loop {
+            let timer = self.0.next_timer().filter(|&t| t <= horizon);
+            match (timer, deliveries.peek().map(|e| e.at)) {
+                (Some(t), d) if d.is_none_or(|d| t <= d) => self.0.fire(outbox),
+                (_, Some(_)) => {
+                    let e = deliveries.next().expect("peeked");
+                    self.0.deliver(e.at, e.src, e.msg);
+                }
+                _ => break,
+            }
+            executed += 1;
+        }
+        executed
+    }
+
+    fn next_event(&mut self) -> Option<SimTime> {
+        match self.1 {
+            Bound::Exact => self.0.next_timer(),
+            Bound::Always => Some(SimTime::ZERO),
+        }
+    }
+}
+
+/// The merged-clock reference for [`TimerModel`]: every host's timers
+/// and every in-flight delivery in one ordering, `(time, timer first,
+/// host or src, order)`. Timers fire up to and including `end`;
+/// deliveries run strictly before it, as in the windowed run whose last
+/// horizon is `end`.
+fn reference_run_timed(
+    n: u32,
+    seeds: &[Seed],
+    transit: &mut impl Transit<Msg>,
+    end: SimTime,
+) -> Vec<Vec<u64>> {
+    let mut models: Vec<TimerModel> = (0..n).map(|i| TimerModel::new(i, n)).collect();
+    let mut emit_seq = vec![0u64; n as usize];
+    let mut inflight: Vec<Envelope<Msg>> = Vec::new();
+    for &(at, src, dst, msg) in seeds {
+        let seq = emit_seq[src as usize];
+        emit_seq[src as usize] += 1;
+        inflight.push(Envelope {
+            at,
+            src,
+            seq,
+            dst,
+            msg,
+        });
+    }
+    let mut out = Vec::new();
+    loop {
+        let timer = models
+            .iter()
+            .enumerate()
+            .filter_map(|(h, m)| {
+                m.timers
+                    .keys()
+                    .next()
+                    .map(|&(t, o)| ((t, 0, h as u64, o), h))
+            })
+            .min();
+        let delivery = inflight
+            .iter()
+            .enumerate()
+            .map(|(i, e)| ((e.at, 1, u64::from(e.src), e.seq), i))
+            .min();
+        let src = match (timer, delivery) {
+            (Some((tk, h)), d) if d.is_none_or(|(dk, _)| tk < dk) => {
+                if tk.0 > end {
+                    break;
+                }
+                models[h].fire(&mut out);
+                h as u32
+            }
+            (_, Some((dk, i))) => {
+                if dk.0 >= end {
+                    break;
+                }
+                let e = inflight.swap_remove(i);
+                models[e.dst as usize].deliver(e.at, e.src, e.msg);
+                continue;
+            }
+            _ => break,
+        };
+        for send in out.drain(..) {
+            let seq = emit_seq[src as usize];
+            emit_seq[src as usize] += 1;
+            let at = transit.deliver_at(src, &send);
+            inflight.push(Envelope {
+                at,
+                src,
+                seq,
+                dst: send.dst,
+                msg: send.msg,
+            });
+        }
+    }
+    models.into_iter().map(|m| m.inner.log).collect()
+}
+
+fn windowed_run_timed(
+    n: u32,
+    workers: usize,
+    bound: Bound,
+    seeds: &[Seed],
+    transit: &mut impl Transit<Msg>,
+    lookahead: SimTime,
+) -> Vec<Vec<u64>> {
+    let hosts = (0..n)
+        .map(|i| TimedHost(TimerModel::new(i, n), bound))
+        .collect();
+    let mut ex = FleetExecutor::new(hosts, lookahead, workers);
+    for &(at, src, dst, msg) in seeds {
+        ex.seed_message(at, src, dst, msg);
+    }
+    ex.run_until(END, transit);
+    ex.into_hosts().into_iter().map(|h| h.0.inner.log).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn idle_host_skip_matches_merged_clock(
+        case in 0u64..u64::MAX,
+        n in 2u32..9,
+        lookahead_us in 1u64..5,
+        spread_ns in 0u64..3_000,
+    ) {
+        // Both bounds — the exact next timer (idle hosts skipped) and
+        // the always-advance default — against the reference, at every
+        // worker count. Without jitter, deliveries land on the timers'
+        // microsecond grid and tie with them.
+        let l = SimTime::from_us(lookahead_us);
+        let seeds = seeds_for(case ^ 0x1d1e, n);
+        for spread_ns in [0, spread_ns] {
+            let reference =
+                reference_run_timed(n, &seeds, &mut JitterTransit { base: l, spread_ns }, END);
+            for bound in [Bound::Exact, Bound::Always] {
+                for workers in [1usize, 2, 4, 8] {
+                    let windowed = windowed_run_timed(
+                        n, workers, bound, &seeds, &mut JitterTransit { base: l, spread_ns }, l,
+                    );
+                    prop_assert_eq!(
+                        &reference, &windowed,
+                        "{:?} at workers = {}, spread {} ns", bound, workers, spread_ns
+                    );
+                }
+            }
+        }
+    }
+}
