@@ -448,10 +448,12 @@ impl TraceSource {
                 continue;
             }
             let mut fields = row.split(',').map(str::trim);
-            let arrival_us = parse_field::<f64>(&mut fields, line, "arrival_us")?;
-            let service_us = parse_field::<f64>(&mut fields, line, "service_us")?;
-            let slo = parse_field::<u8>(&mut fields, line, "slo")?;
-            let mem_kb = parse_field::<i64>(&mut fields, line, "mem_kb")?;
+            let at = parse_field(&mut fields, line, "arrival_us", |us| {
+                us_to_time(us, opts.time_scale)
+            })?;
+            let service = parse_field(&mut fields, line, "service_us", |us| us_to_time(us, 1.0))?;
+            let slo: u8 = parse_field(&mut fields, line, "slo", Some)?;
+            let mem_kb: i64 = parse_field(&mut fields, line, "mem_kb", Some)?;
             let affinity = match fields.next() {
                 None | Some("") => None,
                 Some(v) => Some(v.parse::<u32>().map_err(|_| TraceError::BadNumber {
@@ -460,7 +462,6 @@ impl TraceSource {
                     value: v.to_string(),
                 })?),
             };
-            let service = SimTime::from_us_f64(service_us.max(0.0));
             let lo = opts.min_service;
             let hi = opts.max_service;
             let clamped_service = service.max(lo).min(hi);
@@ -468,7 +469,7 @@ impl TraceSource {
                 clamped += 1;
             }
             records.push(TraceRecord {
-                at: SimTime::from_us_f64(arrival_us.max(0.0) * opts.time_scale),
+                at,
                 service: clamped_service,
                 slo: SloClass(slo),
                 affinity,
@@ -527,20 +528,34 @@ impl TraceSource {
     }
 }
 
-fn parse_field<'a, T: std::str::FromStr>(
+/// Parses the next field as a `T` and maps it through `check`; a parse
+/// failure or a `None` from `check` is a [`TraceError::BadNumber`].
+fn parse_field<'a, T: std::str::FromStr, U>(
     fields: &mut impl Iterator<Item = &'a str>,
     line: usize,
     field: &'static str,
-) -> Result<T, TraceError> {
+    check: impl FnOnce(T) -> Option<U>,
+) -> Result<U, TraceError> {
     let v = fields
         .next()
         .filter(|v| !v.is_empty())
         .ok_or(TraceError::MissingField { line, field })?;
-    v.parse::<T>().map_err(|_| TraceError::BadNumber {
-        line,
-        field,
-        value: v.to_string(),
-    })
+    v.parse::<T>()
+        .ok()
+        .and_then(check)
+        .ok_or_else(|| TraceError::BadNumber {
+            line,
+            field,
+            value: v.to_string(),
+        })
+}
+
+/// Scales microseconds to a [`SimTime`]. Finite negatives clamp to
+/// zero; `NaN`, infinities and times whose nanoseconds do not fit in
+/// `u64` are `None`.
+fn us_to_time(us: f64, scale: f64) -> Option<SimTime> {
+    let ns = (us.max(0.0) * scale * 1e3).round();
+    (us.is_finite() && (0.0..u64::MAX as f64).contains(&ns)).then(|| SimTime::from_ns(ns as u64))
 }
 
 impl WorkloadSource for TraceSource {
@@ -1133,6 +1148,45 @@ mod tests {
         assert_eq!(t.affinity, Some(2));
         assert_eq!(t.mem_delta, 4096);
         assert_eq!(src.next_arrival(), None);
+    }
+
+    /// Parses `row` as the third line of a trace (after a header and one
+    /// good row) and expects a `BadNumber` for `field` holding `value`.
+    fn assert_bad_number(row: &str, field: &'static str, value: &str) {
+        let text = format!("arrival_us,service_us,slo,mem_kb\n0,5,0,0\n{row}\n");
+        let err = TraceSource::from_csv(&text, &TraceOptions::default()).unwrap_err();
+        let want = TraceError::BadNumber {
+            line: 3,
+            field,
+            value: value.to_string(),
+        };
+        assert_eq!(err, want, "row {row:?}");
+    }
+
+    #[test]
+    fn csv_rejects_non_finite_times() {
+        assert_bad_number("inf,5,0,0", "arrival_us", "inf");
+        assert_bad_number("-inf,5,0,0", "arrival_us", "-inf");
+        assert_bad_number("1,inf,0,0", "service_us", "inf");
+        assert_bad_number("NaN,5,0,0", "arrival_us", "NaN");
+        assert_bad_number("1,nan,0,0", "service_us", "nan");
+    }
+
+    #[test]
+    fn csv_rejects_overflowing_times_and_clamps_negatives() {
+        assert_bad_number("1e30,5,0,0", "arrival_us", "1e30");
+        assert_bad_number("1,1e30,0,0", "service_us", "1e30");
+        // A large arrival that fits once rescaled still parses, and
+        // finite negatives still clamp to zero.
+        let opts = TraceOptions {
+            time_scale: 1e-15,
+            ..TraceOptions::default()
+        };
+        let src = TraceSource::from_csv("1e30,5,0,0\n-3,-1,0,0\n", &opts).unwrap();
+        let recs = src.records();
+        assert_eq!(recs[0].at, SimTime::ZERO);
+        assert_eq!(recs[0].service, opts.min_service);
+        assert!((recs[1].at.as_ns() as f64 / 1e18 - 1.0).abs() < 1e-9);
     }
 
     #[test]

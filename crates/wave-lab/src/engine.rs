@@ -185,7 +185,7 @@ pub struct BenchArtifact {
 
 impl BenchArtifact {
     /// Renders the artifact as `BENCH_engine.json` (hand-rolled JSON:
-    /// the vendored serde stub has no JSON serializer, and the schema is
+    /// the workspace has no serializer dependency, and the schema is
     /// flat).
     pub fn to_json(&self) -> String {
         let mut out = format!("{{\n  \"schema\": \"{SCHEMA}\",\n");

@@ -12,7 +12,6 @@
 //! (30 µs slice) with the 99.5%/0.5% GET/RANGE mix. The ablation repeats
 //! Wave-16 at each [`OptLevel`] rung.
 
-use serde::Serialize;
 use wave_core::workload::WorkloadSpec;
 use wave_core::OptLevel;
 use wave_ghost::policies::{FifoPolicy, ShinjukuPolicy};
@@ -205,7 +204,7 @@ pub fn saturation(cfg: &Fig4Config, scenario: Scenario) -> f64 {
 }
 
 /// Full figure result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig4Result {
     /// Saturation throughput per scenario (req/s): on-host, wave-15,
     /// wave-16.

@@ -1,6 +1,5 @@
 //! Figure 6 — RPC stack placement scenarios (§7.3).
 
-use serde::Serialize;
 use wave_ghost::policies::{MultiQueueShinjuku, ShinjukuPolicy};
 use wave_ghost::policy::SchedPolicy;
 use wave_ghost::sim::{SchedReport, SchedSim};
@@ -129,7 +128,7 @@ pub fn saturation(cfg: &Fig6Config, scenario: Fig6Scenario) -> f64 {
 }
 
 /// Figure-level result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig6Result {
     /// OnHost-All saturation (req/s).
     pub onhost_all: f64,

@@ -18,7 +18,6 @@
 //! exactly, and with K=1 both are bit-identical to the pinned §7.4.2
 //! goldens.
 
-use serde::Serialize;
 use wave_kvstore::{AccessPattern, DbFootprint, FootprintConfig};
 use wave_memmgr::{sharded_iteration_cost, RunnerConfig, ShardedSolRunner, SolConfig};
 use wave_sim::cpu::{CoreClass, CpuModel};
@@ -62,7 +61,7 @@ impl MemScalingConfig {
 }
 
 /// One cell of the sweep grid.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MemScalingPoint {
     /// Agent shards.
     pub shards: u32,
@@ -84,7 +83,7 @@ pub struct MemScalingPoint {
 }
 
 /// The full sweep result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MemScalingResult {
     /// All grid cells, in (scale-major, shards-minor) order.
     pub points: Vec<MemScalingPoint>,

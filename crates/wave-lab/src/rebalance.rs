@@ -26,7 +26,6 @@
 //! [`FeedDemand`]: wave_core::shard_map::FeedDemand
 //! [`ShedLoad`]: wave_core::shard_map::ShedLoad
 
-use serde::Serialize;
 use wave_core::shard_map::RebalanceConfig;
 use wave_core::OptLevel;
 use wave_ghost::policies::FifoPolicy;
@@ -103,7 +102,7 @@ impl RebalanceSweepConfig {
 }
 
 /// One scheduler cell (one run, static or dynamic).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SchedRebalancePoint {
     /// Whether rebalancing was on.
     pub dynamic: bool,
@@ -121,7 +120,7 @@ pub struct SchedRebalancePoint {
 }
 
 /// One memory-agent cell (one run, static or dynamic).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MemRebalancePoint {
     /// Whether rebalancing was on.
     pub dynamic: bool,
@@ -140,7 +139,7 @@ pub struct MemRebalancePoint {
 }
 
 /// The sweep result: each agent measured statically and dynamically.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RebalanceResult {
     /// Scheduler, static partition.
     pub sched_static: SchedRebalancePoint,

@@ -1,10 +1,9 @@
 //! Paper-vs-measured reporting.
 
-use serde::Serialize;
 use wave_sim::SimTime;
 
 /// One comparable quantity: what the paper reports vs. what we measured.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PaperRow {
     /// What the row measures.
     pub label: String,
@@ -38,7 +37,7 @@ impl PaperRow {
 }
 
 /// A named experiment report.
-#[derive(Debug, Clone, Serialize, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Report {
     /// Experiment id (e.g. `"Table 2"`).
     pub title: String,
@@ -129,7 +128,7 @@ impl Report {
 /// ([`wave_sim::stats::QUANTILE_LADDER`]) plus an ASCII rendering.
 /// Shared by every experiment that reports a latency distribution (the
 /// fleet sweep, the tenancy isolation tables).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LatencyCdf {
     /// What distribution this is (e.g. `"victim p99 path"`).
     pub label: String,

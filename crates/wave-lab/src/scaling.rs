@@ -9,7 +9,6 @@
 //! the curve should rise monotonically from 1 to 4 agents; at low worker
 //! counts the workers saturate first and extra agents buy nothing.
 
-use serde::Serialize;
 use wave_core::OptLevel;
 use wave_ghost::policies::FifoPolicy;
 use wave_ghost::sim::{Placement, SchedConfig, SchedSim};
@@ -63,7 +62,7 @@ impl ScalingConfig {
 }
 
 /// One cell of the sweep grid.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ScalingPoint {
     /// Agent shards.
     pub agents: u32,
@@ -80,7 +79,7 @@ pub struct ScalingPoint {
 }
 
 /// The full sweep result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ScalingResult {
     /// All grid cells, in (workers-major, agents-minor) order.
     pub points: Vec<ScalingPoint>,

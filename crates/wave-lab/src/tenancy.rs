@@ -34,7 +34,6 @@
 //! * a [`FeedDemand`](wave_core::FeedDemand) rebalancer moves NIC
 //!   cores between tenants from per-tenant served-load counters.
 
-use serde::Serialize;
 use wave_core::tenant::Arbitration;
 use wave_core::{OptLevel, RebalanceConfig, TenantId, TenantRegistry, TenantSpec};
 use wave_ghost::policies::FifoPolicy;
@@ -101,7 +100,7 @@ impl TenancyConfig {
 }
 
 /// One tenant's outcome inside one sweep point.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TenantCell {
     /// Tenant slot (the last one is the flooder when T > 1).
     pub tenant: u32,
@@ -139,7 +138,7 @@ pub struct TenantCell {
 }
 
 /// One (T, arbitration) sweep point.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TenancyPoint {
     /// Tenant count.
     pub tenants: u32,
@@ -152,7 +151,7 @@ pub struct TenancyPoint {
 }
 
 /// Complete sweep output.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TenancyResult {
     /// Calibrated single-tenant agent capacity (req/s) all demands are
     /// expressed against.

@@ -34,7 +34,6 @@
 //! [`SyntheticTraceGenerator`]: wave_core::workload::SyntheticTraceGenerator
 //! [`ShedLoad`]: wave_core::shard_map::ShedLoad
 
-use serde::Serialize;
 use wave_core::shard_map::RebalanceConfig;
 use wave_core::workload::{MemPhase, PhaseSchedule, SyntheticConfig, WorkloadSpec};
 use wave_core::OptLevel;
@@ -146,7 +145,7 @@ impl TracesConfig {
 }
 
 /// Latency of one diurnal quarter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseLatency {
     /// Completions whose arrival fell in this quarter.
     pub count: u64,
@@ -157,7 +156,7 @@ pub struct PhaseLatency {
 }
 
 /// The scheduler cell's result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SchedTracesPoint {
     /// Completions in the measured window.
     pub completed: u64,
@@ -184,7 +183,7 @@ impl SchedTracesPoint {
 }
 
 /// The memory-manager cell's result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MemTracesPoint {
     /// Workload phases applied by the phased driver.
     pub phases_applied: u64,
@@ -210,7 +209,7 @@ impl MemTracesPoint {
 }
 
 /// The sweep result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TracesResult {
     /// Scheduler under the synthetic production trace.
     pub sched: SchedTracesPoint,

@@ -40,8 +40,9 @@
 //!   nothing once the pool has warmed up. Oversized or over-aligned
 //!   closures fall back to a plain `Box` transparently.
 //!
-//! The `engine::` benches in the `bench` crate and `wave-lab`'s `engine`
-//! module track the resulting sim-events/sec; `wave-sim`'s
+//! `wave-lab`'s `engine` module (the `engine_bench` example) tracks the
+//! resulting sim-events/sec, the root `alloc_audit` test pins the
+//! allocation-free steady state, and `wave-sim`'s
 //! `wheel_equivalence` proptest suite pins pop-order equivalence against
 //! a reference `BinaryHeap` model under arbitrary schedule/cancel/run
 //! interleavings.
@@ -761,8 +762,8 @@ mod tests {
     /// Regression guard for the O(n²) lazy-cancellation scan: with the
     /// original `Vec` bookkeeping, 100k cancelled events cost ~10¹⁰
     /// probe steps and this test would hang; slot-generation checks
-    /// finish instantly. The `mechanisms` bench tracks the same path
-    /// (`des_engine_mass_cancellation`).
+    /// finish instantly. `wave-lab`'s `engine` module times the same
+    /// path (the `pure_engine_cancel` workload).
     #[test]
     fn mass_cancellation_stays_linear() {
         let mut sim = Sim::new();
