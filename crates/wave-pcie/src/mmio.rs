@@ -8,7 +8,11 @@
 //!   become visible in SmartNIC DRAM when the line fills (auto-drain) or
 //!   when the producer executes [`HostMmio::sfence`]. Until then the NIC
 //!   cannot see them — a real reordering window the queue layer must (and
-//!   does) handle with its valid-flag protocol.
+//!   does) handle with its valid-flag protocol. Like the hardware buffer,
+//!   the model tracks which lines hold buffered words, so a fence costs
+//!   O(lines written since the last fence), not O(lines mapped): a
+//!   scheduler fences after every message, over queues thousands of
+//!   lines long.
 //! * **Write-through cached loads** (§5.3.2): the first load of a
 //!   WT-mapped line costs a full 750 ns PCIe round trip and installs a
 //!   64-byte *snapshot*; subsequent loads hit for ~2 ns but return data
@@ -142,6 +146,13 @@ pub struct MmioStats {
 pub struct HostMmio {
     cfg: PcieConfig,
     regions: Vec<Region>,
+    /// Lines that may hold buffered WC words: a write that finds its
+    /// line's `wc` counter at 0 and does not auto-drain it pushes the
+    /// line, so every line with a non-zero counter is listed. Duplicates and stale entries (a line
+    /// since auto-drained, or reset by `set_pte`) are harmless: zeroing
+    /// is idempotent. `sfence` zeroes exactly these and clears the list,
+    /// keeping its capacity.
+    dirty: Vec<LineAddr>,
     stats: MmioStats,
 }
 
@@ -151,6 +162,7 @@ impl HostMmio {
         HostMmio {
             cfg,
             regions: Vec::new(),
+            dirty: Vec::new(),
             stats: MmioStats::default(),
         }
     }
@@ -339,7 +351,7 @@ impl HostMmio {
         let words_per_line = self.cfg.words_per_line();
         self.stats.writes += words;
         let mut autodrained = false;
-        let r = self.region_mut(addr.region);
+        let r = &mut self.regions[addr.region.0 as usize];
         assert!(addr.line < r.lines, "line {} out of bounds", addr.line);
         let idx = addr.line as usize;
         let outcome = match r.pte {
@@ -357,6 +369,7 @@ impl HostMmio {
             }
             PteType::WriteCombining => {
                 let cpu = SimTime::from_ns(wc_ns * words);
+                let was_clean = r.wc[idx] == 0;
                 r.wc[idx] += words;
                 if r.wc[idx] >= words_per_line {
                     // Line filled: the buffer auto-drains this line.
@@ -367,6 +380,9 @@ impl HostMmio {
                         visible_at: Some(now + cpu + SimTime::from_ns(one_way)),
                     }
                 } else {
+                    if was_clean {
+                        self.dirty.push(addr);
+                    }
                     WriteOutcome {
                         cpu,
                         visible_at: None,
@@ -383,11 +399,16 @@ impl HostMmio {
     /// Drains the write-combining buffer (`sfence`). All buffered stores
     /// across all WC regions become visible at the returned
     /// `visible_at`.
+    ///
+    /// Simulation cost is O(lines written since the last fence): only
+    /// the listed dirty lines are zeroed, as hardware drains only the
+    /// lines it buffered. Sweeping every mapped line instead would make
+    /// each fence cost the full size of every queue ring.
     pub fn sfence(&mut self, now: SimTime) -> WriteOutcome {
         self.stats.fences += 1;
         let cpu = SimTime::from_ns(self.cfg.wc_flush_ns);
-        for r in &mut self.regions {
-            r.wc.fill(0);
+        for addr in self.dirty.drain(..) {
+            self.regions[addr.region.0 as usize].wc[addr.line as usize] = 0;
         }
         WriteOutcome {
             cpu,
@@ -451,6 +472,21 @@ impl HostMmio {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Reference model: the original `sfence`, which zeroed the WC
+    /// counter of every line of every mapped region.
+    fn sfence_full_sweep(m: &mut HostMmio, now: SimTime) -> WriteOutcome {
+        m.stats.fences += 1;
+        let cpu = SimTime::from_ns(m.cfg.wc_flush_ns);
+        for r in &mut m.regions {
+            r.wc.fill(0);
+        }
+        WriteOutcome {
+            cpu,
+            visible_at: Some(now + cpu + SimTime::from_ns(m.cfg.one_way_ns)),
+        }
+    }
 
     fn mmio(pte: PteType) -> (HostMmio, LineAddr) {
         let mut m = HostMmio::new(PcieConfig::pcie());
@@ -631,5 +667,88 @@ mod tests {
         let hit = m.read(SimTime::from_us(3), a);
         assert!(hit.hit);
         assert!(hit.snapshot_at >= SimTime::from_us(2));
+    }
+
+    /// Region shapes for the equivalence property: two WC regions of
+    /// different sizes plus a WT and a UC one, so `set_pte` can move a
+    /// region into and out of write-combining.
+    const REGIONS: [(PteType, u64); 4] = [
+        (PteType::WriteCombining, 8),
+        (PteType::WriteCombining, 3),
+        (PteType::WriteThrough, 4),
+        (PteType::Uncacheable, 2),
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The dirty-line `sfence` is observationally identical to the
+        /// full sweep: same outcome for every op, same WC counters after
+        /// every op, same stats at the end.
+        #[test]
+        fn dirty_list_sfence_matches_full_sweep(ops in prop::collection::vec(0u64..u64::MAX, 1..400)) {
+            let cfg = PcieConfig::pcie();
+            let wpl = cfg.words_per_line();
+            let mut real = HostMmio::new(cfg.clone());
+            let mut reference = HostMmio::new(cfg);
+            for (pte, lines) in REGIONS {
+                real.map_region(pte, lines);
+                reference.map_region(pte, lines);
+            }
+            let mut now = SimTime::ZERO;
+            for op in ops {
+                now += SimTime::from_ns(op >> 54);
+                let (region, lines) = {
+                    let i = (op >> 8) as usize % REGIONS.len();
+                    (RegionId(i as u32), REGIONS[i].1)
+                };
+                let addr = LineAddr::new(region, (op >> 16) % lines);
+                match op % 8 {
+                    // Writes dominate so lines fill and auto-drain.
+                    0..=2 => {
+                        let words = 1 + (op >> 32) % (2 * wpl);
+                        prop_assert_eq!(
+                            real.write(now, addr, words),
+                            reference.write(now, addr, words)
+                        );
+                    }
+                    3 => prop_assert_eq!(real.sfence(now), sfence_full_sweep(&mut reference, now)),
+                    4 => {
+                        let pte = [
+                            PteType::WriteCombining,
+                            PteType::WriteThrough,
+                            PteType::Uncacheable,
+                        ][(op >> 32) as usize % 3];
+                        real.set_pte(region, pte);
+                        reference.set_pte(region, pte);
+                    }
+                    5 => prop_assert_eq!(real.read(now, addr), reference.read(now, addr)),
+                    6 => prop_assert_eq!(real.prefetch(now, addr), reference.prefetch(now, addr)),
+                    _ => prop_assert_eq!(real.clflush(now, addr), reference.clflush(now, addr)),
+                }
+                for (i, (a, b)) in real.regions.iter().zip(&reference.regions).enumerate() {
+                    prop_assert_eq!(&a.wc, &b.wc);
+                    for (line, &w) in a.wc.iter().enumerate() {
+                        let addr = LineAddr::new(RegionId(i as u32), line as u64);
+                        prop_assert!(w == 0 || real.dirty.contains(&addr));
+                    }
+                }
+            }
+            prop_assert_eq!(real.stats(), reference.stats());
+        }
+    }
+
+    #[test]
+    fn sfence_keeps_dirty_list_capacity() {
+        let (mut m, a) = mmio(PteType::WriteCombining);
+        for line in 0..16 {
+            m.write(SimTime::ZERO, LineAddr::new(a.region, line), 2);
+        }
+        let cap = m.dirty.capacity();
+        assert_eq!(m.dirty.len(), 16);
+        m.sfence(SimTime::ZERO);
+        assert!(m.dirty.is_empty());
+        assert_eq!(m.dirty.capacity(), cap);
+        assert!(m.regions[0].wc.iter().all(|&w| w == 0));
     }
 }

@@ -140,6 +140,10 @@ pub struct WaveQueue<T> {
     tail: u64,
     /// Next absolute index to consume.
     head: u64,
+    /// Every entry below this absolute index has left the producer-side
+    /// buffer (`tail` at the last flush), so a flush only visits the
+    /// entries pushed since.
+    flushed: u64,
     /// Producer-visible credits (lazy view of free slots).
     credits: u64,
     /// Consumer head as last published to the producer side.
@@ -192,6 +196,7 @@ impl<T> WaveQueue<T> {
             entries: VecDeque::new(),
             tail: 0,
             head: 0,
+            flushed: 0,
             credits: capacity,
             published_head: 0,
             head_publish_interval: (capacity / 4).max(1),
@@ -325,43 +330,44 @@ impl<T> WaveQueue<T> {
 
     /// Makes all buffered entries visible: `sfence` for MMIO/WC queues,
     /// a DMA batch for DMA queues. Returns the producer CPU cost.
+    ///
+    /// Only entries pushed since the previous flush can still be
+    /// buffered, so the cost is O(entries pushed since), not O(backlog).
+    /// Auto-drained WC entries among them keep their own visibility.
     pub fn flush(&mut self, now: SimTime, ic: &mut Interconnect) -> SimTime {
         self.stats.flushes += 1;
+        // Entries are contiguous by index from the front of the deque.
+        let start = match self.entries.front() {
+            Some(s) => self.flushed.saturating_sub(s.index) as usize,
+            None => 0,
+        };
+        self.flushed = self.tail;
         match self.transport {
             Transport::Mmio => {
                 let f = ic.mmio.sfence(now);
                 let visible = f.visible_at.expect("sfence always drains");
-                for slot in &mut self.entries {
-                    if slot.visible_at == SimTime::MAX {
-                        slot.visible_at = visible;
-                    }
-                }
+                mark_visible(self.entries.range_mut(start..), visible);
                 f.cpu
             }
             Transport::Dma(mode) => {
-                let pending: Vec<u64> = self
+                let pending = self
                     .entries
-                    .iter()
+                    .range(start..)
                     .filter(|s| s.visible_at == SimTime::MAX)
-                    .map(|s| s.index)
-                    .collect();
-                if pending.is_empty() {
+                    .count() as u64;
+                if pending == 0 {
                     return SimTime::ZERO;
                 }
                 let bytes = match self.wire_bytes_per_entry {
-                    Some(w) => (pending.len() as u64 * w).max(64),
-                    None => pending.len() as u64 * self.entry_words * 8,
+                    Some(w) => (pending * w).max(64),
+                    None => pending * self.entry_words * 8,
                 };
                 let dir = match self.dir {
                     Direction::HostToNic => DmaDirection::HostToNic,
                     Direction::NicToHost => DmaDirection::NicToHost,
                 };
                 let t = ic.dma.transfer(now, bytes, dir, mode, self.dir.producer());
-                for slot in &mut self.entries {
-                    if slot.visible_at == SimTime::MAX {
-                        slot.visible_at = t.complete_at;
-                    }
-                }
+                mark_visible(self.entries.range_mut(start..), t.complete_at);
                 t.initiator_cpu
             }
         }
@@ -537,6 +543,15 @@ impl<T> WaveQueue<T> {
                 .prefetch(now + cpu, LineAddr::new(self.region, line.line + extra));
         }
         cpu
+    }
+}
+
+/// Stamps every still-buffered slot with the drain's visibility time.
+fn mark_visible<'a, T: 'a>(slots: impl Iterator<Item = &'a mut Slot<T>>, at: SimTime) {
+    for slot in slots {
+        if slot.visible_at == SimTime::MAX {
+            slot.visible_at = at;
+        }
     }
 }
 
@@ -851,5 +866,97 @@ mod tests {
         let mut ic = Interconnect::pcie();
         let mut q = message_queue(&mut ic, PteType::Uncacheable);
         let _ = q.poll_host(SimTime::ZERO, &mut ic, 1);
+    }
+
+    fn visible_ats<T>(q: &WaveQueue<T>) -> Vec<SimTime> {
+        q.entries.iter().map(|s| s.visible_at).collect()
+    }
+
+    /// Flushes `q` and checks the result against the original full-deque
+    /// loop: every entry still buffered before the flush is stamped
+    /// `drain_at`, every other entry keeps its visibility.
+    fn flush_like_full_loop<T>(
+        q: &mut WaveQueue<T>,
+        ic: &mut Interconnect,
+        now: SimTime,
+        drain_at: impl FnOnce(&Interconnect) -> SimTime,
+    ) {
+        let before = visible_ats(q);
+        q.flush(now, ic);
+        let at = drain_at(ic);
+        let expected: Vec<SimTime> = before
+            .into_iter()
+            .map(|v| if v == SimTime::MAX { at } else { v })
+            .collect();
+        assert_eq!(visible_ats(q), expected);
+    }
+
+    #[test]
+    fn flush_cursor_matches_full_deque_loop() {
+        let mut ic = Interconnect::pcie();
+        let mut q = WaveQueue::<u32>::new(
+            &mut ic,
+            Direction::HostToNic,
+            Transport::Mmio,
+            8,
+            4,
+            PteType::WriteCombining,
+            SocPteMode::WriteBack,
+        );
+        let fence_at = |now: SimTime| {
+            move |ic: &Interconnect| now + SimTime::from_ns(ic.cfg.wc_flush_ns + ic.cfg.one_way_ns)
+        };
+        // Half-fill slot 1's line so entry 1's push fills and auto-drains
+        // it, between two entries that stay buffered.
+        let slot1 = LineAddr::new(q.region(), q.lines_per_entry);
+        q.push(SimTime::ZERO, &mut ic, 0).unwrap();
+        ic.mmio.write(SimTime::ZERO, slot1, 4);
+        let drained = q.push(SimTime::ZERO, &mut ic, 1).unwrap();
+        assert!(drained.visible_at.is_some(), "entry 1 auto-drains");
+        q.push(SimTime::ZERO, &mut ic, 2).unwrap();
+        let t1 = SimTime::from_us(1);
+        flush_like_full_loop(&mut q, &mut ic, t1, fence_at(t1));
+        assert_eq!(visible_ats(&q)[1], drained.visible_at.unwrap());
+        // An empty flush changes nothing; later flushes stamp only the
+        // entries pushed since, across a partial drain by the consumer.
+        let t2 = SimTime::from_us(2);
+        flush_like_full_loop(&mut q, &mut ic, t2, fence_at(t2));
+        q.push(t2, &mut ic, 3).unwrap();
+        assert_eq!(q.poll_nic(t2, &mut ic, 2).items, vec![0, 1]);
+        q.push(t2, &mut ic, 4).unwrap();
+        let t3 = SimTime::from_us(3);
+        flush_like_full_loop(&mut q, &mut ic, t3, fence_at(t3));
+        assert_eq!(
+            q.poll_nic(SimTime::from_us(4), &mut ic, 8).items,
+            vec![2, 3, 4]
+        );
+        // Draining everything leaves the cursor ahead of the front.
+        q.push(SimTime::from_us(4), &mut ic, 5).unwrap();
+        let t5 = SimTime::from_us(5);
+        flush_like_full_loop(&mut q, &mut ic, t5, fence_at(t5));
+
+        // DMA: each batch ships exactly the entries staged since the last.
+        let mut ic = Interconnect::pcie();
+        let mut q = WaveQueue::<u32>::new(
+            &mut ic,
+            Direction::HostToNic,
+            Transport::Dma(DmaMode::Async),
+            64,
+            8,
+            PteType::Uncacheable,
+            SocPteMode::WriteBack,
+        );
+        let batch_done = |ic: &Interconnect| ic.dma.busy_until();
+        for v in 0..3 {
+            q.push(SimTime::ZERO, &mut ic, v).unwrap();
+        }
+        flush_like_full_loop(&mut q, &mut ic, SimTime::ZERO, batch_done);
+        for v in 3..5 {
+            q.push(SimTime::ZERO, &mut ic, v).unwrap();
+        }
+        flush_like_full_loop(&mut q, &mut ic, SimTime::from_ns(10), batch_done);
+        assert_eq!(ic.dma.bytes_moved(), 5 * 8 * 8);
+        let visible = visible_ats(&q);
+        assert!(visible[0] == visible[2] && visible[2] < visible[3]);
     }
 }

@@ -4,12 +4,14 @@
 //! agent pump must stay allocation-lean (reused `kicked`/prestage
 //! scratch buffers). A regression fails `cargo test --test alloc_audit`.
 //!
-//! The counter is process-global, so the three audits run in sequence
+//! The counter is process-global, so the four audits run in sequence
 //! from a single `#[test]`: parallel test threads would charge each
 //! other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use wave::core::shard_map::RebalanceConfig;
+use wave::core::workload::{SyntheticConfig, WorkloadSpec};
 use wave::core::OptLevel;
 use wave::ghost::policies::FifoPolicy;
 use wave::ghost::sim::{Placement, SchedConfig, SchedSim};
@@ -136,9 +138,51 @@ fn audit_sched_sim_steady_state() {
     println!("alloc-audit sched_sim_steady_state: {d_allocs} allocs / {d_events} marginal events");
 }
 
+/// The sharded deployment's steady state is allocation-free per event
+/// too: 4 agent shards with work stealing and periodic rebalancing over
+/// the synthetic roaming-hotspot trace, the `host_sched` benchmark shape.
+/// Same differential method and budget as the single-agent audit. Each
+/// message push ends in an `sfence`, so this also pins the MMIO
+/// dirty-line list to reusing its capacity.
+fn audit_sharded_sched_sim_steady_state() {
+    fn run(ms: u64) -> (u64, u64) {
+        let mut synthetic = SyntheticConfig::diurnal_bursty();
+        synthetic.base_rate = 250_000.0;
+        synthetic.diurnal_period = SimTime::from_ms(100);
+        synthetic.hotspot_shards = 4;
+        synthetic.hotspot_weight = 0.25;
+        let mut sc = SchedConfig::new(24, Placement::Offloaded, OptLevel::full());
+        sc.agents = 4;
+        sc.steal = true;
+        sc.rebalance = Some(RebalanceConfig::every(SimTime::from_ms(10)));
+        sc.workload = WorkloadSpec::synthetic(synthetic);
+        sc.duration = SimTime::from_ms(ms);
+        sc.warmup = SimTime::from_ms(5);
+        let sim = SchedSim::with_policy_factory(sc, |_| Box::new(FifoPolicy::new()));
+        let before = allocs();
+        let report = sim.run();
+        assert!(report.diag.rebalance_moves > 0, "rebalancer idle");
+        (allocs() - before, report.events_executed)
+    }
+    let (short_allocs, short_events) = run(100);
+    let (long_allocs, long_events) = run(500);
+    let d_allocs = long_allocs.saturating_sub(short_allocs);
+    let d_events = long_events - short_events;
+    assert!(d_events > 500_000, "audit underpowered: {d_events} events");
+    assert!(
+        d_allocs * 100 <= d_events,
+        "sharded sched sim steady state hit the allocator: {d_allocs} \
+         allocations over {d_events} marginal events (budget: 1 per 100 events)"
+    );
+    println!(
+        "alloc-audit sharded_sched_sim_steady_state: {d_allocs} allocs / {d_events} marginal events"
+    );
+}
+
 #[test]
 fn steady_state_allocation_budgets() {
     audit_engine_steady_state();
     audit_sched_sim_pump();
     audit_sched_sim_steady_state();
+    audit_sharded_sched_sim_steady_state();
 }
