@@ -54,6 +54,8 @@
 //!   [`workload::WorkloadSpec`] config value consumers embed, and the
 //!   [`workload::MemPhaseSource`] phase stream for the memory agent.
 
+#![forbid(unsafe_code)]
+
 pub mod agent;
 pub mod channel;
 pub mod opts;

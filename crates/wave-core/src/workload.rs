@@ -1189,6 +1189,77 @@ mod tests {
         assert!((recs[1].at.as_ns() as f64 / 1e18 - 1.0).abs() < 1e-9);
     }
 
+    /// Building blocks for CSV-ish noise: digits (weighted up), number
+    /// syntax, non-finite spellings, comments, and the field and row
+    /// separators themselves. The first 12 are digits.
+    const CSV_TOKENS: [&str; 22] = [
+        "0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "1", "5", ".", "-", "e", "inf", "nan",
+        "#", " ", " ", ",", "\n",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Bad input gets an error, never a panic: arbitrary rows of
+        /// CSV-ish tokens parse to a trace or to a [`TraceError`] that
+        /// names a real line, and a parsed trace is a valid source.
+        /// A row whose `kind` is nonzero keeps to digits and at least
+        /// four fields, so whole traces parse often enough to check the
+        /// `Ok` side too.
+        #[test]
+        fn csv_never_panics_on_noise(
+            rows in proptest::prelude::prop::collection::vec(
+                proptest::prelude::prop::collection::vec(
+                    proptest::prelude::prop::collection::vec(0..CSV_TOKENS.len(), 0..5),
+                    0..7,
+                ),
+                0..8,
+            ),
+            kinds in proptest::prelude::prop::collection::vec(0u8..4, 8..9),
+        ) {
+            let text = rows
+                .iter()
+                .zip(&kinds)
+                .map(|(fields, &kind)| {
+                    let clean = kind != 0;
+                    let field = |f: &Vec<usize>| -> String {
+                        if !clean {
+                            f.iter().map(|&t| CSV_TOKENS[t]).collect()
+                        } else if f.is_empty() {
+                            "0".into()
+                        } else {
+                            f.iter().map(|&t| CSV_TOKENS[t % 12]).collect()
+                        }
+                    };
+                    let mut row: Vec<String> = fields.iter().map(field).collect();
+                    if clean && row.len() < 4 {
+                        row.resize(4, "0".to_string());
+                    }
+                    row.join(",")
+                })
+                .collect::<Vec<_>>()
+                .join("\n");
+            let lines = text.lines().count();
+            let opts = TraceOptions::default();
+            match TraceSource::from_csv(&text, &opts) {
+                Ok(mut src) => {
+                    assert!(!src.is_empty() && src.len() <= lines, "{text:?}");
+                    let mut last = SimTime::ZERO;
+                    while let Some(at) = src.next_arrival() {
+                        assert!(at >= last, "arrivals out of order: {text:?}");
+                        last = at;
+                        let service = src.task().service;
+                        assert!((opts.min_service..=opts.max_service).contains(&service));
+                    }
+                }
+                Err(TraceError::MissingField { line, .. } | TraceError::BadNumber { line, .. }) => {
+                    assert!((1..=lines).contains(&line), "line {line} of {lines}: {text:?}");
+                }
+                Err(TraceError::Empty) => {}
+            }
+        }
+    }
+
     #[test]
     fn synthetic_is_deterministic_and_seed_sensitive() {
         let cfg = SyntheticConfig::diurnal_bursty();

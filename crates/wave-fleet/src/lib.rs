@@ -28,6 +28,8 @@
 //! assert_eq!(a.fingerprint(), b.fingerprint()); // worker count is invisible
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod fabric;
 pub mod node;
 

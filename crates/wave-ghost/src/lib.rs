@@ -32,6 +32,8 @@
 //! [`OptLevel`](wave_core::OptLevel) differ — the paper's
 //! "apples-to-apples" methodology.
 
+#![forbid(unsafe_code)]
+
 pub mod arena;
 pub mod cost;
 pub mod microbench;

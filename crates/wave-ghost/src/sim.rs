@@ -429,7 +429,40 @@ pub struct SchedSim {
     moves_scratch: Vec<ResourceMove>,
 }
 
-type S = Sim<SchedSim>;
+/// One scheduled [`SchedSim`] event; [`SchedSim::handle`] dispatches it.
+#[derive(Clone, Copy)]
+enum Ev {
+    /// The local source's next arrival.
+    Arrival,
+    /// A request clears the RPC stack (ingress mode).
+    Admit { wire: SimTime, task: Task },
+    /// A fabric-delivered arrival (fleet mode).
+    External { wire: SimTime, task: Task },
+    /// Shard `si`'s armed agent pump fires.
+    Pump { si: usize },
+    /// MSI-X handler on an idle core.
+    WakeupIrq { cpu: CpuId },
+    /// Host-side rebalance epoch.
+    RebalanceEpoch,
+    /// Agent-side slice expiry.
+    AgentPreempt {
+        cpu: CpuId,
+        tid: Tid,
+        token: u64,
+        seg_start: SimTime,
+    },
+    /// A run segment finishes its thread.
+    Complete { cpu: CpuId, tid: Tid, token: u64 },
+    /// Host IRQ for a staged preemption.
+    PreemptIrq {
+        cpu: CpuId,
+        tid: Tid,
+        token: u64,
+        seg_start: SimTime,
+    },
+}
+
+type S = Sim<Ev>;
 
 impl SchedSim {
     /// Builds a single-agent model for a configuration and policy.
@@ -626,14 +659,40 @@ impl SchedSim {
         // The source announces the first arrival (open-loop generators:
         // the fixed 1 ns first event; a trace: its first record).
         if let Some(first) = self.source.next_arrival() {
-            sim.schedule(first, |m: &mut SchedSim, s| m.arrival(s));
+            sim.schedule(first, Ev::Arrival);
         }
         if let Some(rb) = &self.rebalancer {
-            sim.schedule(rb.config().epoch, |m: &mut SchedSim, s| {
-                m.rebalance_epoch(s)
-            });
+            sim.schedule(rb.config().epoch, Ev::RebalanceEpoch);
         }
         SchedStepper { sim, model: self }
+    }
+
+    /// Executes one event.
+    fn handle(&mut self, sim: &mut S, ev: Ev) {
+        match ev {
+            Ev::Arrival => self.arrival(sim),
+            Ev::Admit { wire, task } => self.admit(sim, wire, task),
+            Ev::External { wire, task } => self.external_arrival(sim, wire, task),
+            Ev::Pump { si } => {
+                self.shards[si].rt.pump_fired();
+                self.agent_pump(sim, si);
+            }
+            Ev::WakeupIrq { cpu } => self.wakeup_irq(sim, cpu),
+            Ev::RebalanceEpoch => self.rebalance_epoch(sim),
+            Ev::AgentPreempt {
+                cpu,
+                tid,
+                token,
+                seg_start,
+            } => self.agent_preempt(sim, cpu, tid, token, seg_start),
+            Ev::Complete { cpu, tid, token } => self.complete(sim, cpu, tid, token),
+            Ev::PreemptIrq {
+                cpu,
+                tid,
+                token,
+                seg_start,
+            } => self.preempt_irq(sim, cpu, tid, token, seg_start),
+        }
     }
 
     // --- Load generation -------------------------------------------------
@@ -645,7 +704,7 @@ impl SchedSim {
         // the legacy inline-sampling order, which is what keeps the
         // Poisson source bit-identical (a shed arrival draws no task).
         if let Some(at) = self.source.next_arrival() {
-            sim.schedule(at, |m: &mut SchedSim, s| m.arrival(s));
+            sim.schedule(at, Ev::Arrival);
         }
 
         if self.outstanding >= self.cfg.max_outstanding {
@@ -669,7 +728,7 @@ impl SchedSim {
             let start = (now + ing.network_delay).max(self.stack_busy[idx]);
             self.stack_busy[idx] = start + svc;
             let done = start + svc;
-            sim.schedule(done, move |m: &mut SchedSim, s| m.admit(s, now, task));
+            sim.schedule(done, Ev::Admit { wire: now, task });
             return;
         }
         self.admit_at(sim, now, now, task);
@@ -762,10 +821,7 @@ impl SchedSim {
 
     fn schedule_agent_pump(&mut self, sim: &mut S, si: usize, at: SimTime) {
         if let Some(t) = self.shards[si].rt.arm_pump(at) {
-            sim.schedule(t, move |m: &mut SchedSim, s| {
-                m.shards[si].rt.pump_fired();
-                m.agent_pump(s, si);
-            });
+            sim.schedule(t, Ev::Pump { si });
         }
     }
 
@@ -862,7 +918,7 @@ impl SchedSim {
             }
         }
         for (cpu, at) in kicked.drain(..) {
-            sim.schedule(at, move |m: &mut SchedSim, s| m.wakeup_irq(s, cpu));
+            sim.schedule(at, Ev::WakeupIrq { cpu });
         }
         self.kicked_scratch = kicked;
 
@@ -1047,7 +1103,7 @@ impl SchedSim {
             }
         }
         self.moves_scratch = moves;
-        sim.schedule(now + epoch, |m: &mut SchedSim, s| m.rebalance_epoch(s));
+        sim.schedule(now + epoch, Ev::RebalanceEpoch);
     }
 
     /// Applies one committed core move. Ownership has already flipped
@@ -1165,15 +1221,19 @@ impl SchedSim {
             Some(slice) if remaining > slice => {
                 // The agent tracks the slice and will preempt via MSI-X.
                 let at = start + slice;
-                sim.schedule(at, move |m: &mut SchedSim, s| {
-                    m.agent_preempt(s, cpu, tid, token, start)
-                });
+                sim.schedule(
+                    at,
+                    Ev::AgentPreempt {
+                        cpu,
+                        tid,
+                        token,
+                        seg_start: start,
+                    },
+                );
             }
             _ => {
                 let at = start + remaining;
-                sim.schedule(at, move |m: &mut SchedSim, s| {
-                    m.complete(s, cpu, tid, token)
-                });
+                sim.schedule(at, Ev::Complete { cpu, tid, token });
             }
         }
     }
@@ -1224,10 +1284,15 @@ impl SchedSim {
         nic_cost += sender_cpu;
         self.shards[si].rt.record_decision(now + nic_cost);
         self.shards[si].rt.run_raw(now, nic_cost);
-        let at = handler_at;
-        sim.schedule(at, move |m: &mut SchedSim, s| {
-            m.preempt_irq(s, cpu, tid, token, seg_start)
-        });
+        sim.schedule(
+            handler_at,
+            Ev::PreemptIrq {
+                cpu,
+                tid,
+                token,
+                seg_start,
+            },
+        );
     }
 
     /// Host IRQ for a preemption: context-switch to the staged decision,
@@ -1422,7 +1487,8 @@ impl SchedStepper {
     /// returns how many events executed in this window.
     pub fn advance(&mut self, horizon: SimTime) -> u64 {
         self.sim.set_horizon(horizon);
-        self.sim.run(&mut self.model)
+        let model = &mut self.model;
+        self.sim.run(|s, ev| model.handle(s, ev))
     }
 
     /// The host's local virtual clock.
@@ -1448,9 +1514,13 @@ impl SchedStepper {
     /// fleet drivers pass the client's emission time so the recorded
     /// latency includes the forward network hop.
     pub fn inject(&mut self, at: SimTime, wire_arrival: SimTime, task: Task) {
-        self.sim.schedule(at, move |m: &mut SchedSim, s| {
-            m.external_arrival(s, wire_arrival, task)
-        });
+        self.sim.schedule(
+            at,
+            Ev::External {
+                wire: wire_arrival,
+                task,
+            },
+        );
     }
 
     /// Moves the completions logged since the last drain into `out`

@@ -11,6 +11,8 @@
 //!    module models the database's pages, batches, and skewed access
 //!    pattern without allocating 100 GiB.
 
+#![forbid(unsafe_code)]
+
 pub mod footprint;
 pub mod store;
 pub mod workload;

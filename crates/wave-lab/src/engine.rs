@@ -335,28 +335,26 @@ const DELAYS: [u64; 16] = [
     1_000_000,
 ];
 
-/// Runs the `pure_engine` workload: `timers` self-rearming events, no
-/// cancellations. Returns (events, wall).
+/// Runs the `pure_engine` workload: `timers` self-rearming events (each
+/// event is its delay-table lane), no cancellations. Returns (events,
+/// wall).
 fn run_pure(timers: usize, events: u64) -> (u64, u64) {
-    let mut sim: Sim<TimerModel> = Sim::new();
+    let mut sim: Sim<usize> = Sim::new();
     let mut model = TimerModel {
         fired: 0,
         budget: events,
     };
     for i in 0..timers {
         let lane = i % DELAYS.len();
-        sim.schedule(
-            SimTime::from_ns(DELAYS[lane] + i as u64),
-            move |m: &mut TimerModel, s| rearm(m, s, lane),
-        );
+        sim.schedule(SimTime::from_ns(DELAYS[lane] + i as u64), lane);
     }
     let t0 = Instant::now();
-    sim.run(&mut model);
+    sim.run(|s, lane| rearm(&mut model, s, lane));
     let wall = t0.elapsed().as_nanos() as u64;
     (model.fired, wall)
 }
 
-fn rearm(m: &mut TimerModel, s: &mut Sim<TimerModel>, lane: usize) {
+fn rearm(m: &mut TimerModel, s: &mut Sim<usize>, lane: usize) {
     m.fired += 1;
     if m.fired >= m.budget {
         if m.fired == m.budget {
@@ -366,15 +364,13 @@ fn rearm(m: &mut TimerModel, s: &mut Sim<TimerModel>, lane: usize) {
     }
     // Rotate the lane so every timer walks the whole horizon mix.
     let next = (lane + 1) % DELAYS.len();
-    s.schedule_in(SimTime::from_ns(DELAYS[next]), move |m, s| {
-        rearm(m, s, next)
-    });
+    s.schedule_in(SimTime::from_ns(DELAYS[next]), next);
 }
 
 /// Runs the `pure_engine_cancel` workload: every fired event schedules a
 /// companion "timeout" that is cancelled on the next firing — the
-/// timer-wheel shape where most armed timers never fire. Returns
-/// (events, wall).
+/// timer-wheel shape where most armed timers never fire. Each event is
+/// its `(lane, timer slot)`. Returns (events, wall).
 fn run_pure_cancel(timers: usize, events: u64) -> (u64, u64) {
     use wave_sim::EventId;
     struct CancelModel {
@@ -382,7 +378,7 @@ fn run_pure_cancel(timers: usize, events: u64) -> (u64, u64) {
         budget: u64,
         timeouts: Vec<Option<EventId>>,
     }
-    fn tick(m: &mut CancelModel, s: &mut Sim<CancelModel>, lane: usize, slot: usize) {
+    fn tick(m: &mut CancelModel, s: &mut Sim<(usize, usize)>, (lane, slot): (usize, usize)) {
         m.fired += 1;
         if m.fired >= m.budget {
             if m.fired == m.budget {
@@ -395,16 +391,11 @@ fn run_pure_cancel(timers: usize, events: u64) -> (u64, u64) {
             s.cancel(id);
         }
         let next = (lane + 1) % DELAYS.len();
-        let timeout = s.schedule_in(
-            SimTime::from_ns(DELAYS[next] * 4),
-            move |m: &mut CancelModel, s| tick(m, s, next, slot),
-        );
+        let timeout = s.schedule_in(SimTime::from_ns(DELAYS[next] * 4), (next, slot));
         m.timeouts[slot] = Some(timeout);
-        s.schedule_in(SimTime::from_ns(DELAYS[next]), move |m, s| {
-            tick(m, s, next, slot)
-        });
+        s.schedule_in(SimTime::from_ns(DELAYS[next]), (next, slot));
     }
-    let mut sim: Sim<CancelModel> = Sim::new();
+    let mut sim: Sim<(usize, usize)> = Sim::new();
     let mut model = CancelModel {
         fired: 0,
         budget: events,
@@ -412,13 +403,10 @@ fn run_pure_cancel(timers: usize, events: u64) -> (u64, u64) {
     };
     for i in 0..timers {
         let lane = i % DELAYS.len();
-        sim.schedule(
-            SimTime::from_ns(DELAYS[lane] + i as u64),
-            move |m: &mut CancelModel, s| tick(m, s, lane, i),
-        );
+        sim.schedule(SimTime::from_ns(DELAYS[lane] + i as u64), (lane, i));
     }
     let t0 = Instant::now();
-    sim.run(&mut model);
+    sim.run(|s, ev| tick(&mut model, s, ev));
     let wall = t0.elapsed().as_nanos() as u64;
     (model.fired, wall)
 }

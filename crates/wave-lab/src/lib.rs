@@ -28,6 +28,8 @@
 //! Independent load points run in parallel on `std::thread` workers
 //! ([`par::par_map`]); each point is its own deterministic simulation.
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod fig4;
 pub mod fig5;

@@ -25,6 +25,8 @@
 //!   DMA channel, executing on real OS threads; per-shard iteration
 //!   costs merge with explicit serial/parallel phase attribution.
 
+#![forbid(unsafe_code)]
+
 pub mod pagetable;
 pub mod runner;
 pub mod shard;

@@ -42,6 +42,8 @@
 //! model ([`soc`]) distinguishes uncached vs. write-back SoC mappings,
 //! which is the paper's "WB PTEs on SmartNIC" optimization (Table 3).
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod dma;
 pub mod mmio;

@@ -25,6 +25,8 @@
 //! `T` so higher layers (messages, transactions) get lossless,
 //! order-preserving delivery with accurately-costed timing.
 
+#![forbid(unsafe_code)]
+
 pub mod queue;
 
 pub use queue::{

@@ -16,6 +16,8 @@
 //!   OnHost-Schedule, Offload-All) as ready-to-run scheduling-simulation
 //!   configurations.
 
+#![forbid(unsafe_code)]
+
 pub mod header;
 pub mod scenario;
 pub mod stack;

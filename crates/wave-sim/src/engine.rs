@@ -1,13 +1,15 @@
 //! The discrete-event engine.
 //!
-//! [`Sim`] is a deterministic event loop generic over a user model `M`.
-//! Events are `FnOnce(&mut M, &mut Sim<M>)` closures ordered by
-//! `(time, sequence)`, so two events scheduled for the same instant fire in
-//! scheduling order — no wall-clock, no thread scheduling, no hash-map
-//! iteration order anywhere. Given the same seed and inputs, a simulation
-//! replays bit-identically (a property the test-suite asserts).
+//! [`Sim`] is a deterministic event loop generic over a plain event type
+//! `E` — typically a small `Copy` enum per model. Events are ordered by
+//! `(time, sequence)`, so two events scheduled for the same instant fire
+//! in scheduling order — no wall-clock, no thread scheduling, no hash-map
+//! iteration order anywhere. [`Sim::run`] hands each due event, with the
+//! engine itself, to a caller-supplied handler (usually one `match` on
+//! the model). Given the same seed and inputs, a simulation replays
+//! bit-identically (a property the test-suite asserts).
 //!
-//! # Internals: timer wheel + slab + closure pool
+//! # Internals: timer wheel + slab
 //!
 //! The engine is the hot path of every experiment in the workspace, so its
 //! data layout is tuned for the dominant event shape — short-horizon
@@ -29,16 +31,14 @@
 //!   engine did. Determinism is unaffected: every entry carries its full
 //!   `(time, seq)` key and `run` is a strict priority queue, so pop
 //!   order is bit-identical to the old engine's.
-//! * **Slab + generation cancellation.** Each scheduled event owns a
-//!   slot in a free-listed slab; [`EventId`] packs `(slot, generation)`.
-//!   Cancellation bumps the slot generation and drops the closure
-//!   immediately — O(1), no auxiliary `HashSet` probe per pop. A stale
-//!   wheel entry (its slot generation moved on) is skipped when popped.
-//! * **Pooled closures.** Closure storage comes from a size-classed
-//!   `pool` of reusable blocks instead of the global allocator, so
-//!   steady-state scheduling (fire one event, arm the next) allocates
-//!   nothing once the pool has warmed up. Oversized or over-aligned
-//!   closures fall back to a plain `Box` transparently.
+//! * **Slab + generation cancellation.** Each scheduled event's payload
+//!   is stored inline in a free-listed slab slot; [`EventId`] packs
+//!   `(slot, generation)`. Cancellation bumps the slot generation and
+//!   drops the payload immediately — O(1), no auxiliary `HashSet` probe
+//!   per pop. A stale wheel entry (its slot generation moved on) is
+//!   skipped when popped. Slots, buckets and the drain heap are all
+//!   recycled, so steady-state scheduling (fire one event, arm the
+//!   next) allocates nothing once they have grown to the working set.
 //!
 //! `wave-lab`'s `engine` module (the `engine_bench` example) tracks the
 //! resulting sim-events/sec, the root `alloc_audit` test pins the
@@ -57,7 +57,7 @@ use crate::time::SimTime;
 ///
 /// Internally packs the event's slab slot and the slot's generation at
 /// scheduling time. Cancellation is O(1): the slot's generation is
-/// bumped (so the queue entry is skipped when popped) and the closure is
+/// bumped (so the queue entry is skipped when popped) and the payload is
 /// dropped on the spot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventId(u64);
@@ -76,8 +76,6 @@ impl EventId {
     }
 }
 
-type BoxedEvent<M> = Box<dyn FnOnce(&mut M, &mut Sim<M>) + Send>;
-
 /// Virtual nanoseconds covered by one wheel slot.
 const GRANULARITY_SHIFT: u32 = 7;
 /// Number of wheel slots (must be a power of two). 512 slots keep the
@@ -89,7 +87,7 @@ const SLOT_MASK: u64 = WHEEL_SLOTS as u64 - 1;
 const BITMAP_WORDS: usize = WHEEL_SLOTS / 64;
 
 /// A queue entry: the full ordering key plus the slab reference. The
-/// closure itself lives in the slab, so entries are small `Copy` values
+/// payload itself lives in the slab, so entries are small `Copy` values
 /// that sort and move cheaply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct WheelEntry {
@@ -116,149 +114,28 @@ impl Ord for WheelEntry {
     }
 }
 
-/// Size-classed closure storage.
-///
-/// All unsafe code of the engine is confined to this module. Blocks are
-/// raw allocations from the global allocator, recycled through per-class
-/// free lists; a closure is moved *out of* its block onto the stack
-/// before it runs, so blocks can be recycled immediately and the
-/// executing closure never aliases engine-owned memory.
-mod pool {
-    use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
-
-    /// Block sizes. Closures in this workspace capture a handful of
-    /// `Copy` scalars (typically 0–48 bytes); 256 bytes covers even the
-    /// fattest capture lists seen in practice.
-    const CLASS_SIZES: [usize; 4] = [32, 64, 128, 256];
-    /// All classes share one alignment, covering every closure capture
-    /// type in use (max align of scalar captures is 8; 16 adds margin).
-    pub const BLOCK_ALIGN: usize = 16;
-
-    /// The largest closure the pool serves; bigger ones are boxed.
-    pub const MAX_POOLED_SIZE: usize = 256;
-
-    /// Per-class free lists of recycled blocks.
-    pub struct ClosurePool {
-        free: [Vec<*mut u8>; 4],
-    }
-
-    impl ClosurePool {
-        pub fn new() -> Self {
-            ClosurePool {
-                free: [Vec::new(), Vec::new(), Vec::new(), Vec::new()],
-            }
-        }
-
-        /// The size class serving `(size, align)`, or `None` if the
-        /// request must fall back to `Box`.
-        pub fn class_for(size: usize, align: usize) -> Option<u8> {
-            if align > BLOCK_ALIGN || size > MAX_POOLED_SIZE {
-                return None;
-            }
-            CLASS_SIZES.iter().position(|&c| size <= c).map(|c| c as u8)
-        }
-
-        fn layout(class: u8) -> Layout {
-            // Infallible: every (CLASS_SIZES[i], BLOCK_ALIGN) pair is a
-            // valid layout.
-            Layout::from_size_align(CLASS_SIZES[class as usize], BLOCK_ALIGN)
-                .expect("class layouts are valid")
-        }
-
-        /// Hands out a block of at least the class size. Reuses a
-        /// recycled block when one exists (the steady-state path).
-        pub fn alloc_block(&mut self, class: u8) -> *mut u8 {
-            if let Some(p) = self.free[class as usize].pop() {
-                return p;
-            }
-            let layout = Self::layout(class);
-            // SAFETY: layout has non-zero size.
-            let p = unsafe { alloc(layout) };
-            if p.is_null() {
-                handle_alloc_error(layout);
-            }
-            p
-        }
-
-        /// Returns a block to its class free list. The block's contents
-        /// are dead (the closure was moved out or dropped in place).
-        pub fn free_block(&mut self, class: u8, ptr: *mut u8) {
-            self.free[class as usize].push(ptr);
-        }
-    }
-
-    impl Drop for ClosurePool {
-        fn drop(&mut self) {
-            for (class, list) in self.free.iter_mut().enumerate() {
-                let layout = Self::layout(class as u8);
-                for &mut p in list {
-                    // SAFETY: every pointer in a free list came from
-                    // `alloc` with exactly this class layout and is
-                    // freed exactly once (lists are drained here).
-                    unsafe { dealloc(p, layout) };
-                }
-            }
-        }
-    }
-}
-
-/// Moves the closure out of its pool block onto the stack and calls it.
-///
-/// # Safety
-///
-/// `data` must point to a properly aligned, initialized `F` that is not
-/// read again afterwards (the slab entry must already be vacated).
-unsafe fn call_pooled<M, F: FnOnce(&mut M, &mut Sim<M>)>(
-    data: *mut u8,
-    model: &mut M,
-    sim: &mut Sim<M>,
-) {
-    let f = (data as *mut F).read();
-    f(model, sim)
-}
-
-/// Drops the closure in place (cancellation / engine drop).
-///
-/// # Safety
-///
-/// `data` must point to a properly aligned, initialized `F` that is not
-/// used again afterwards.
-unsafe fn drop_pooled<F>(data: *mut u8) {
-    std::ptr::drop_in_place(data as *mut F)
-}
-
-type CallFn<M> = unsafe fn(*mut u8, &mut M, &mut Sim<M>);
-type DropFn = unsafe fn(*mut u8);
-
 /// Slab storage for one scheduled event's payload.
-enum Stored<M> {
-    /// Free slot; intrusive free-list link (u32::MAX terminates).
+enum Stored<E> {
+    /// Free slot; intrusive free-list link (`NIL` terminates).
     Vacant { next_free: u32 },
-    /// Closure living in a pool block.
-    Pooled {
-        data: *mut u8,
-        class: u8,
-        call: CallFn<M>,
-        drop: DropFn,
-    },
-    /// Oversized/over-aligned closure on the plain heap.
-    Boxed(BoxedEvent<M>),
+    /// A pending event.
+    Live(E),
 }
 
-struct EventSlot<M> {
+struct EventSlot<E> {
     /// Bumped on every consume/cancel; a queue entry whose recorded
     /// generation lags is stale and gets skipped.
     gen: u32,
-    stored: Stored<M>,
+    stored: Stored<E>,
 }
 
 const NIL: u32 = u32::MAX;
 
-/// A deterministic discrete-event simulator over a model type `M`.
+/// A deterministic discrete-event simulator over an event type `E`.
 ///
 /// See the [crate-level documentation](crate) for an example and the
 /// [module documentation](self) for the internal layout.
-pub struct Sim<M> {
+pub struct Sim<E> {
     now: SimTime,
     seq: u64,
     executed: u64,
@@ -278,28 +155,17 @@ pub struct Sim<M> {
     /// Entries in slots `>= next_slot + WHEEL_SLOTS`.
     overflow: BinaryHeap<WheelEntry>,
     /// Event payload slab, free-listed.
-    slots: Vec<EventSlot<M>>,
+    slots: Vec<EventSlot<E>>,
     free_head: u32,
-    pool: pool::ClosurePool,
 }
 
-// SAFETY: `Sim` is only non-`Send` automatically because the slab and
-// closure pool traffic in raw `*mut u8` blocks. Those blocks are owned
-// exclusively by this instance (allocated, consumed, and freed through
-// `&mut self` only; nothing aliases or escapes), and every payload
-// written into them is a closure the `schedule` bounds require to be
-// `Send`. Moving the whole engine to another thread — which the fleet
-// executor does when it hands a host range to a worker thread — is
-// therefore sound.
-unsafe impl<M> Send for Sim<M> {}
-
-impl<M> Default for Sim<M> {
+impl<E> Default for Sim<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<M> fmt::Debug for Sim<M> {
+impl<E> fmt::Debug for Sim<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Sim")
             .field("now", &self.now)
@@ -309,26 +175,7 @@ impl<M> fmt::Debug for Sim<M> {
     }
 }
 
-impl<M> Drop for Sim<M> {
-    fn drop(&mut self) {
-        // Release every live pooled closure; `ClosurePool::drop` then
-        // returns the blocks to the allocator. Boxed/vacant slots need
-        // no help.
-        for slot in &mut self.slots {
-            if let Stored::Pooled {
-                data, class, drop, ..
-            } = std::mem::replace(&mut slot.stored, Stored::Vacant { next_free: NIL })
-            {
-                // SAFETY: the slot held a live pooled closure; it is
-                // dropped exactly once and the block freed exactly once.
-                unsafe { drop(data) };
-                self.pool.free_block(class, data);
-            }
-        }
-    }
-}
-
-impl<M> Sim<M> {
+impl<E> Sim<E> {
     /// Creates an empty simulator at time zero with an unbounded horizon.
     pub fn new() -> Self {
         Sim {
@@ -345,7 +192,6 @@ impl<M> Sim<M> {
             overflow: BinaryHeap::new(),
             slots: Vec::new(),
             free_head: NIL,
-            pool: pool::ClosurePool::new(),
         }
     }
 
@@ -382,52 +228,32 @@ impl<M> Sim<M> {
         self.horizon = horizon;
     }
 
-    /// Schedules `action` at absolute time `at`.
+    /// Schedules event `ev` at absolute time `at`.
     ///
     /// Scheduling in the past is clamped to `now`: this is deliberate, so
     /// that cost models which compute "ready at" timestamps slightly before
     /// the current event never panic.
-    pub fn schedule<F>(&mut self, at: SimTime, action: F) -> EventId
-    where
-        F: FnOnce(&mut M, &mut Sim<M>) + Send + 'static,
-    {
+    pub fn schedule(&mut self, at: SimTime, ev: E) -> EventId {
         let at = at.max(self.now);
         let seq = self.seq;
         self.seq += 1;
-
-        // Place the payload: pool block if it fits, `Box` otherwise.
-        let stored =
-            match pool::ClosurePool::class_for(std::mem::size_of::<F>(), std::mem::align_of::<F>())
-            {
-                Some(class) => {
-                    let data = self.pool.alloc_block(class);
-                    // SAFETY: the block is at least `size_of::<F>()` bytes,
-                    // aligned to BLOCK_ALIGN >= align_of::<F>(), and owned
-                    // exclusively by this slot until consumed/cancelled.
-                    unsafe { (data as *mut F).write(action) };
-                    Stored::Pooled {
-                        data,
-                        class,
-                        call: call_pooled::<M, F>,
-                        drop: drop_pooled::<F>,
-                    }
-                }
-                None => Stored::Boxed(Box::new(action)),
-            };
 
         // Claim a slab slot.
         let slot = if self.free_head != NIL {
             let idx = self.free_head;
             let s = &mut self.slots[idx as usize];
-            self.free_head = match s.stored {
-                Stored::Vacant { next_free } => next_free,
-                _ => unreachable!("free list points at occupied slot"),
+            let Stored::Vacant { next_free } = s.stored else {
+                unreachable!("free list points at occupied slot");
             };
-            s.stored = stored;
+            self.free_head = next_free;
+            s.stored = Stored::Live(ev);
             idx
         } else {
             let idx = self.slots.len() as u32;
-            self.slots.push(EventSlot { gen: 0, stored });
+            self.slots.push(EventSlot {
+                gen: 0,
+                stored: Stored::Live(ev),
+            });
             idx
         };
         let gen = self.slots[slot as usize].gen;
@@ -437,48 +263,39 @@ impl<M> Sim<M> {
         EventId::new(slot, gen)
     }
 
-    /// Schedules `action` at `now + delay`.
-    pub fn schedule_in<F>(&mut self, delay: SimTime, action: F) -> EventId
-    where
-        F: FnOnce(&mut M, &mut Sim<M>) + Send + 'static,
-    {
-        self.schedule(self.now + delay, action)
+    /// Schedules event `ev` at `now + delay`.
+    pub fn schedule_in(&mut self, delay: SimTime, ev: E) -> EventId {
+        self.schedule(self.now + delay, ev)
     }
 
-    /// Cancels a previously scheduled event, dropping its closure
+    /// Cancels a previously scheduled event, dropping its payload
     /// immediately. Cancelling an event that has already fired (or was
     /// already cancelled) is a no-op.
     pub fn cancel(&mut self, id: EventId) {
-        let idx = id.slot() as usize;
-        let Some(slot) = self.slots.get_mut(idx) else {
-            return;
-        };
-        if slot.gen != id.generation() || matches!(slot.stored, Stored::Vacant { .. }) {
-            return; // Already fired, already cancelled, or slot reused.
-        }
-        let stored = std::mem::replace(
-            &mut slot.stored,
-            Stored::Vacant {
-                next_free: self.free_head,
-            },
-        );
-        slot.gen = slot.gen.wrapping_add(1);
-        self.free_head = idx as u32;
-        match stored {
-            Stored::Pooled {
-                data, class, drop, ..
-            } => {
-                // SAFETY: live closure, dropped exactly once; block
-                // recycled after the payload is dead.
-                unsafe { drop(data) };
-                self.pool.free_block(class, data);
-            }
-            Stored::Boxed(b) => std::mem::drop(b),
-            Stored::Vacant { .. } => unreachable!("checked occupied above"),
+        let live = self
+            .slots
+            .get(id.slot() as usize)
+            .is_some_and(|s| s.gen == id.generation() && matches!(s.stored, Stored::Live(_)));
+        if live {
+            drop(self.vacate(id.slot()));
         }
         // The queue entry stays; its generation no longer matches, so it
         // is skipped when popped (the slot-generation check that
         // replaced the old HashSet probe).
+    }
+
+    /// Frees live slab slot `idx` and returns its payload. Bumping the
+    /// generation turns every queue entry and [`EventId`] naming the
+    /// slot's old tenant stale.
+    fn vacate(&mut self, idx: u32) -> E {
+        let slot = &mut self.slots[idx as usize];
+        slot.gen = slot.gen.wrapping_add(1);
+        let next_free = self.free_head;
+        self.free_head = idx;
+        match std::mem::replace(&mut slot.stored, Stored::Vacant { next_free }) {
+            Stored::Live(ev) => ev,
+            Stored::Vacant { .. } => unreachable!("live generation with vacant slot"),
+        }
     }
 
     /// Requests that the run loop stop after the current event returns.
@@ -591,70 +408,42 @@ impl<M> Sim<M> {
         self.run.peek().copied()
     }
 
-    /// Removes the next queue entry and, if it is live, takes its
-    /// payload out of the slab.
-    fn pop_next(&mut self) -> Option<(WheelEntry, Option<Stored<M>>)> {
-        let entry = self.run.pop()?;
+    /// Removes the next queue entry if it is due by the horizon, and
+    /// takes its payload out of the slab if it is live (the clock moves
+    /// to a live event's time). `None` when the queue is empty or the
+    /// next entry lies past the horizon (the clock parks at the
+    /// horizon); `Some(None)` when a cancelled entry was reclaimed.
+    fn pop_due(&mut self) -> Option<Option<E>> {
+        let next = self.peek_next()?;
+        if next.at > self.horizon {
+            self.now = self.horizon;
+            return None;
+        }
+        let entry = self.run.pop().expect("peeked entry exists");
         self.pending -= 1;
-        let slot = &mut self.slots[entry.slot as usize];
-        if slot.gen != entry.gen {
-            return Some((entry, None)); // Cancelled; slot possibly reused.
+        if self.slots[entry.slot as usize].gen != entry.gen {
+            return Some(None); // Cancelled; slot possibly reused.
         }
-        let stored = std::mem::replace(
-            &mut slot.stored,
-            Stored::Vacant {
-                next_free: self.free_head,
-            },
-        );
-        slot.gen = slot.gen.wrapping_add(1);
-        self.free_head = entry.slot;
-        debug_assert!(
-            !matches!(stored, Stored::Vacant { .. }),
-            "live generation with vacant slot"
-        );
-        Some((entry, Some(stored)))
-    }
-
-    /// Executes one taken payload. The payload has already been removed
-    /// from the slab (and its pool block recycled), so the closure runs
-    /// from the stack and may freely schedule into this engine.
-    fn dispatch(&mut self, stored: Stored<M>, model: &mut M) {
-        match stored {
-            Stored::Pooled {
-                data, class, call, ..
-            } => {
-                self.pool.free_block(class, data);
-                // SAFETY: `call` moves the closure out of `data` before
-                // invoking it; the block was recycled above but cannot
-                // be handed out again until the closure (already on the
-                // stack) schedules — which happens after the move.
-                unsafe { call(data, model, self) };
-            }
-            Stored::Boxed(f) => f(model, self),
-            Stored::Vacant { .. } => unreachable!("dispatch of vacant payload"),
-        }
+        debug_assert!(entry.at >= self.now, "event queue went backwards");
+        self.now = entry.at;
+        Some(Some(self.vacate(entry.slot)))
     }
 
     // --- Run loops ---------------------------------------------------------
 
     /// Runs until the event queue is empty, the horizon is reached, or
-    /// [`Sim::stop`] is called. Returns the number of events executed by
-    /// this call.
-    pub fn run(&mut self, model: &mut M) -> u64 {
+    /// [`Sim::stop`] is called, passing each due event to `handle`
+    /// together with the engine (so handlers can schedule, cancel, and
+    /// read the clock). Returns the number of events executed by this
+    /// call.
+    pub fn run(&mut self, mut handle: impl FnMut(&mut Sim<E>, E)) -> u64 {
         let start = self.executed;
         self.stop_requested = false;
-        while let Some(next) = self.peek_next() {
-            if next.at > self.horizon {
-                self.now = self.horizon;
-                break;
-            }
-            let (entry, stored) = self.pop_next().expect("peeked entry exists");
-            let Some(stored) = stored else {
+        while let Some(due) = self.pop_due() {
+            let Some(ev) = due else {
                 continue; // Cancelled.
             };
-            debug_assert!(entry.at >= self.now, "event queue went backwards");
-            self.now = entry.at;
-            self.dispatch(stored, model);
+            handle(self, ev);
             self.executed += 1;
             if self.stop_requested {
                 break;
@@ -666,21 +455,14 @@ impl<M> Sim<M> {
     /// Runs at most `n` further events (useful for lock-step debugging).
     /// A lazily-cancelled entry reclaimed along the way counts against
     /// `n` without executing anything, matching the historical behavior.
-    pub fn step(&mut self, model: &mut M, n: u64) -> u64 {
+    pub fn step(&mut self, n: u64, mut handle: impl FnMut(&mut Sim<E>, E)) -> u64 {
         let start = self.executed;
         for _ in 0..n {
-            let Some(next) = self.peek_next() else { break };
-            if next.at > self.horizon {
-                self.now = self.horizon;
-                break;
+            let Some(due) = self.pop_due() else { break };
+            if let Some(ev) = due {
+                handle(self, ev);
+                self.executed += 1;
             }
-            let (entry, stored) = self.pop_next().expect("peeked entry exists");
-            let Some(stored) = stored else {
-                continue; // Cancelled.
-            };
-            self.now = entry.at;
-            self.dispatch(stored, model);
-            self.executed += 1;
         }
         self.executed - start
     }
@@ -694,18 +476,20 @@ mod tests {
     const GRANULARITY: u64 = 1 << GRANULARITY_SHIFT;
     const WHEEL_SPAN: u64 = (WHEEL_SLOTS as u64) << GRANULARITY_SHIFT;
 
-    #[derive(Default)]
-    struct Log(Vec<u32>);
+    /// Runs `sim` to completion, logging each fired event's value.
+    fn run_log(sim: &mut Sim<u32>, log: &mut Vec<u32>) -> u64 {
+        sim.run(|_, v| log.push(v))
+    }
 
     #[test]
     fn events_fire_in_time_order() {
         let mut sim = Sim::new();
-        sim.schedule(SimTime::from_ns(30), |m: &mut Log, _| m.0.push(3));
-        sim.schedule(SimTime::from_ns(10), |m: &mut Log, _| m.0.push(1));
-        sim.schedule(SimTime::from_ns(20), |m: &mut Log, _| m.0.push(2));
-        let mut log = Log::default();
-        sim.run(&mut log);
-        assert_eq!(log.0, vec![1, 2, 3]);
+        sim.schedule(SimTime::from_ns(30), 3);
+        sim.schedule(SimTime::from_ns(10), 1);
+        sim.schedule(SimTime::from_ns(20), 2);
+        let mut log = Vec::new();
+        run_log(&mut sim, &mut log);
+        assert_eq!(log, vec![1, 2, 3]);
         assert_eq!(sim.now(), SimTime::from_ns(30));
     }
 
@@ -713,50 +497,53 @@ mod tests {
     fn ties_fire_in_schedule_order() {
         let mut sim = Sim::new();
         for i in 0..16 {
-            sim.schedule(SimTime::from_ns(5), move |m: &mut Log, _| m.0.push(i));
+            sim.schedule(SimTime::from_ns(5), i);
         }
-        let mut log = Log::default();
-        sim.run(&mut log);
-        assert_eq!(log.0, (0..16).collect::<Vec<_>>());
+        let mut log = Vec::new();
+        run_log(&mut sim, &mut log);
+        assert_eq!(log, (0..16).collect::<Vec<_>>());
     }
 
     #[test]
     fn nested_scheduling() {
         let mut sim = Sim::new();
-        sim.schedule(SimTime::from_ns(1), |m: &mut Log, s| {
-            m.0.push(1);
-            s.schedule_in(SimTime::from_ns(1), |m: &mut Log, _| m.0.push(2));
+        sim.schedule(SimTime::from_ns(1), 1u32);
+        let mut log = Vec::new();
+        sim.run(|s, v| {
+            log.push(v);
+            if v == 1 {
+                s.schedule_in(SimTime::from_ns(1), 2);
+            }
         });
-        let mut log = Log::default();
-        sim.run(&mut log);
-        assert_eq!(log.0, vec![1, 2]);
+        assert_eq!(log, vec![1, 2]);
         assert_eq!(sim.now(), SimTime::from_ns(2));
     }
 
     #[test]
     fn past_events_clamp_to_now() {
         let mut sim = Sim::new();
-        sim.schedule(SimTime::from_ns(100), |m: &mut Log, s| {
-            m.0.push(1);
-            // "In the past" relative to now=100; must fire, at now.
-            s.schedule(SimTime::from_ns(10), |m: &mut Log, _| m.0.push(2));
+        sim.schedule(SimTime::from_ns(100), 1u32);
+        let mut log = Vec::new();
+        sim.run(|s, v| {
+            log.push(v);
+            if v == 1 {
+                // "In the past" relative to now=100; must fire, at now.
+                s.schedule(SimTime::from_ns(10), 2);
+            }
         });
-        let mut log = Log::default();
-        sim.run(&mut log);
-        assert_eq!(log.0, vec![1, 2]);
+        assert_eq!(log, vec![1, 2]);
         assert_eq!(sim.now(), SimTime::from_ns(100));
     }
 
     #[test]
     fn cancellation() {
         let mut sim = Sim::new();
-        let keep = sim.schedule(SimTime::from_ns(1), |m: &mut Log, _| m.0.push(1));
-        let kill = sim.schedule(SimTime::from_ns(2), |m: &mut Log, _| m.0.push(2));
+        sim.schedule(SimTime::from_ns(1), 1);
+        let kill = sim.schedule(SimTime::from_ns(2), 2);
         sim.cancel(kill);
-        let _ = keep;
-        let mut log = Log::default();
-        sim.run(&mut log);
-        assert_eq!(log.0, vec![1]);
+        let mut log = Vec::new();
+        run_log(&mut sim, &mut log);
+        assert_eq!(log, vec![1]);
     }
 
     /// Regression guard for the O(n²) lazy-cancellation scan: with the
@@ -768,30 +555,28 @@ mod tests {
     fn mass_cancellation_stays_linear() {
         let mut sim = Sim::new();
         let n = 100_000u64;
-        let mut ids = Vec::with_capacity(n as usize);
-        for i in 0..n {
-            ids.push(sim.schedule(SimTime::from_ns(i), |m: &mut Log, _| m.0.push(0)));
-        }
-        let keep = sim.schedule(SimTime::from_ns(n), |m: &mut Log, _| m.0.push(1));
+        let ids: Vec<EventId> = (0..n)
+            .map(|i| sim.schedule(SimTime::from_ns(i), 0))
+            .collect();
+        sim.schedule(SimTime::from_ns(n), 1);
         for id in ids {
             sim.cancel(id);
         }
-        let _ = keep;
-        let mut log = Log::default();
-        assert_eq!(sim.run(&mut log), 1);
-        assert_eq!(log.0, vec![1]);
+        let mut log = Vec::new();
+        assert_eq!(run_log(&mut sim, &mut log), 1);
+        assert_eq!(log, vec![1]);
     }
 
     #[test]
     fn cancel_after_fire_is_noop() {
         let mut sim = Sim::new();
-        let id = sim.schedule(SimTime::from_ns(1), |m: &mut Log, _| m.0.push(1));
-        let mut log = Log::default();
-        sim.run(&mut log);
+        let id = sim.schedule(SimTime::from_ns(1), 1);
+        let mut log = Vec::new();
+        run_log(&mut sim, &mut log);
         sim.cancel(id);
-        sim.schedule(SimTime::from_ns(2), |m: &mut Log, _| m.0.push(2));
-        sim.run(&mut log);
-        assert_eq!(log.0, vec![1, 2]);
+        sim.schedule(SimTime::from_ns(2), 2);
+        run_log(&mut sim, &mut log);
+        assert_eq!(log, vec![1, 2]);
     }
 
     /// A fired event's slab slot is recycled; a stale [`EventId`] held
@@ -799,25 +584,25 @@ mod tests {
     #[test]
     fn stale_id_does_not_cancel_slot_reuse() {
         let mut sim = Sim::new();
-        let old = sim.schedule(SimTime::from_ns(1), |m: &mut Log, _| m.0.push(1));
-        let mut log = Log::default();
-        sim.run(&mut log);
+        let old = sim.schedule(SimTime::from_ns(1), 1);
+        let mut log = Vec::new();
+        run_log(&mut sim, &mut log);
         // The slot freed by `old` is reused here.
-        sim.schedule(SimTime::from_ns(2), |m: &mut Log, _| m.0.push(2));
+        sim.schedule(SimTime::from_ns(2), 2);
         sim.cancel(old);
-        sim.run(&mut log);
-        assert_eq!(log.0, vec![1, 2]);
+        run_log(&mut sim, &mut log);
+        assert_eq!(log, vec![1, 2]);
     }
 
     #[test]
     fn horizon_stops_run() {
         let mut sim = Sim::new();
-        sim.schedule(SimTime::from_ns(5), |m: &mut Log, _| m.0.push(1));
-        sim.schedule(SimTime::from_ns(50), |m: &mut Log, _| m.0.push(2));
+        sim.schedule(SimTime::from_ns(5), 1);
+        sim.schedule(SimTime::from_ns(50), 2);
         sim.set_horizon(SimTime::from_ns(10));
-        let mut log = Log::default();
-        sim.run(&mut log);
-        assert_eq!(log.0, vec![1]);
+        let mut log = Vec::new();
+        run_log(&mut sim, &mut log);
+        assert_eq!(log, vec![1]);
         assert_eq!(sim.now(), SimTime::from_ns(10));
         assert_eq!(sim.pending(), 1);
     }
@@ -826,65 +611,65 @@ mod tests {
     fn next_event_at_peeks_without_executing() {
         let mut sim = Sim::new();
         assert_eq!(sim.next_event_at(), None);
-        let early = sim.schedule(SimTime::from_ns(5), |m: &mut Log, _| m.0.push(1));
+        let early = sim.schedule(SimTime::from_ns(5), 1);
         // Far enough out to sit in overflow, not the wheel.
         let far = SimTime::from_ns(WHEEL_SPAN * 3);
-        sim.schedule(far, |m: &mut Log, _| m.0.push(2));
+        sim.schedule(far, 2);
         assert_eq!(sim.next_event_at(), Some(SimTime::from_ns(5)));
         // A cancelled entry still counts until its time comes around:
         // the answer is a lower bound.
         sim.cancel(early);
         assert_eq!(sim.next_event_at(), Some(SimTime::from_ns(5)));
         assert_eq!((sim.executed(), sim.now()), (0, SimTime::ZERO));
-        let mut log = Log::default();
+        let mut log = Vec::new();
         sim.set_horizon(SimTime::from_ns(10));
-        sim.run(&mut log);
+        run_log(&mut sim, &mut log);
         assert_eq!(sim.next_event_at(), Some(far));
         sim.set_horizon(SimTime::MAX);
-        sim.run(&mut log);
-        assert_eq!(log.0, vec![2]);
+        run_log(&mut sim, &mut log);
+        assert_eq!(log, vec![2]);
         assert_eq!(sim.next_event_at(), None);
     }
 
     #[test]
     fn stop_requested_mid_run() {
         let mut sim = Sim::new();
-        sim.schedule(SimTime::from_ns(1), |m: &mut Log, s| {
-            m.0.push(1);
-            s.stop();
-        });
-        sim.schedule(SimTime::from_ns(2), |m: &mut Log, _| m.0.push(2));
-        let mut log = Log::default();
-        sim.run(&mut log);
-        assert_eq!(log.0, vec![1]);
+        sim.schedule(SimTime::from_ns(1), 1u32);
+        sim.schedule(SimTime::from_ns(2), 2);
+        let mut log = Vec::new();
+        let mut handle = |s: &mut Sim<u32>, v| {
+            log.push(v);
+            if v == 1 {
+                s.stop();
+            }
+        };
+        assert_eq!(sim.run(&mut handle), 1, "stops after event 1");
+        assert_eq!(sim.now(), SimTime::from_ns(1));
         // A subsequent run picks the rest up.
-        sim.run(&mut log);
-        assert_eq!(log.0, vec![1, 2]);
+        assert_eq!(sim.run(&mut handle), 1);
+        assert_eq!(log, vec![1, 2]);
     }
 
     #[test]
     fn step_limits_execution() {
         let mut sim = Sim::new();
         for i in 0..5 {
-            sim.schedule(SimTime::from_ns(i), move |m: &mut Log, _| {
-                m.0.push(i as u32)
-            });
+            sim.schedule(SimTime::from_ns(i as u64), i);
         }
-        let mut log = Log::default();
-        assert_eq!(sim.step(&mut log, 2), 2);
-        assert_eq!(log.0, vec![0, 1]);
-        assert_eq!(sim.step(&mut log, 100), 3);
-        assert_eq!(log.0.len(), 5);
+        let mut log = Vec::new();
+        assert_eq!(sim.step(2, |_, v| log.push(v)), 2);
+        assert_eq!(log, vec![0, 1]);
+        assert_eq!(sim.step(100, |_, v| log.push(v)), 3);
+        assert_eq!(log.len(), 5);
     }
 
     #[test]
     fn executed_counts() {
         let mut sim = Sim::new();
         for i in 0..10u64 {
-            sim.schedule(SimTime::from_ns(i), |_: &mut Log, _| {});
+            sim.schedule(SimTime::from_ns(i), ());
         }
-        let mut log = Log::default();
-        assert_eq!(sim.run(&mut log), 10);
+        assert_eq!(sim.run(|_, ()| {}), 10);
         assert_eq!(sim.executed(), 10);
     }
 
@@ -903,17 +688,12 @@ mod tests {
             WHEEL_SPAN * 17 + 5,
             1_000_000_000,
         ];
-        let mut order: Vec<usize> = (0..times.len()).collect();
-        order.reverse();
-        for &i in &order {
-            let t = times[i];
-            sim.schedule(SimTime::from_ns(t), move |m: &mut Log, _| {
-                m.0.push(i as u32)
-            });
+        for (i, &t) in times.iter().enumerate().rev() {
+            sim.schedule(SimTime::from_ns(t), i as u32);
         }
-        let mut log = Log::default();
-        sim.run(&mut log);
-        assert_eq!(log.0, (0..times.len() as u32).collect::<Vec<_>>());
+        let mut log = Vec::new();
+        run_log(&mut sim, &mut log);
+        assert_eq!(log, (0..times.len() as u32).collect::<Vec<_>>());
         assert_eq!(sim.now(), SimTime::from_ns(1_000_000_000));
     }
 
@@ -923,62 +703,47 @@ mod tests {
     fn same_instant_scheduled_during_drain_keeps_seq_order() {
         let mut sim = Sim::new();
         let t = SimTime::from_ns(10);
-        sim.schedule(t, move |m: &mut Log, s| {
-            m.0.push(0);
-            // Scheduled while slot 10's bucket is draining; same time.
-            s.schedule(t, |m: &mut Log, _| m.0.push(2));
+        sim.schedule(t, 0u32);
+        sim.schedule(t, 1);
+        let mut log = Vec::new();
+        sim.run(|s, v| {
+            log.push(v);
+            if v == 0 {
+                // Scheduled while slot 10's bucket is draining; same time.
+                s.schedule(t, 2);
+            }
         });
-        sim.schedule(t, |m: &mut Log, _| m.0.push(1));
-        let mut log = Log::default();
-        sim.run(&mut log);
-        assert_eq!(log.0, vec![0, 1, 2]);
+        assert_eq!(log, vec![0, 1, 2]);
     }
 
-    /// Closures too large for the pool fall back to `Box` and still run.
-    #[test]
-    fn oversized_closures_fall_back_to_box() {
-        let mut sim = Sim::new();
-        let big = [7u8; 512];
-        sim.schedule(SimTime::from_ns(1), move |m: &mut Log, _| {
-            m.0.push(big[0] as u32 + big[511] as u32)
-        });
-        let mut log = Log::default();
-        sim.run(&mut log);
-        assert_eq!(log.0, vec![14]);
-    }
-
-    /// Dropping a Sim with live pooled + boxed closures must not leak or
-    /// double-free (exercised under the test allocator by the suite
-    /// running at all; drop-count checked explicitly here).
+    /// Dropping a Sim releases every unfired event's payload: an event
+    /// owning a resource (here an `Rc` witness) must not leak it.
     #[test]
     fn drop_releases_unfired_closures() {
-        use std::sync::Arc;
-        let witness = Arc::new(());
+        use std::rc::Rc;
+        let witness = Rc::new(());
         {
-            let mut sim: Sim<Log> = Sim::new();
-            let w1 = Arc::clone(&witness);
-            let w2 = Arc::clone(&witness);
-            let big = [0u8; 400];
-            sim.schedule(SimTime::from_ns(1), move |_, _| drop(w1));
-            sim.schedule(SimTime::from_ns(2), move |_, _| {
-                let _ = big;
-                drop(w2);
-            });
-            assert_eq!(Arc::strong_count(&witness), 3);
+            let mut sim: Sim<Rc<()>> = Sim::new();
+            sim.schedule(SimTime::from_ns(1), Rc::clone(&witness));
+            sim.schedule(SimTime::from_ns(2), Rc::clone(&witness));
+            assert_eq!(Rc::strong_count(&witness), 3);
+            // Fire one; the other stays pending until the Sim drops.
+            assert_eq!(sim.step(1, |_, w| drop(w)), 1);
+            assert_eq!(Rc::strong_count(&witness), 2);
         }
-        assert_eq!(Arc::strong_count(&witness), 1, "closures dropped with Sim");
+        assert_eq!(Rc::strong_count(&witness), 1, "payloads dropped with Sim");
     }
 
-    /// Cancellation drops the closure immediately (not lazily at pop).
+    /// Cancellation drops the payload immediately (not lazily at pop).
     #[test]
     fn cancel_drops_closure_eagerly() {
-        use std::sync::Arc;
-        let witness = Arc::new(());
-        let mut sim: Sim<Log> = Sim::new();
-        let w = Arc::clone(&witness);
-        let id = sim.schedule(SimTime::from_ns(5), move |_, _| drop(w));
-        assert_eq!(Arc::strong_count(&witness), 2);
+        use std::rc::Rc;
+        let witness = Rc::new(());
+        let mut sim: Sim<Rc<()>> = Sim::new();
+        let id = sim.schedule(SimTime::from_ns(5), Rc::clone(&witness));
+        assert_eq!(Rc::strong_count(&witness), 2);
         sim.cancel(id);
-        assert_eq!(Arc::strong_count(&witness), 1, "dropped at cancel time");
+        assert_eq!(Rc::strong_count(&witness), 1, "dropped at cancel time");
+        assert_eq!(sim.run(|_, _| unreachable!("cancelled")), 0);
     }
 }

@@ -8,9 +8,10 @@
 //! The engine is deliberately minimal and fully deterministic:
 //!
 //! * [`SimTime`] is virtual time in integer nanoseconds.
-//! * [`Sim`] is a binary-heap event loop generic over a user-supplied
-//!   model type `M`; events are boxed `FnOnce(&mut M, &mut Sim<M>)`
-//!   closures ordered by `(time, sequence-number)`.
+//! * [`Sim`] is a timer-wheel event loop generic over a plain event
+//!   type `E` (typically a small `Copy` enum per model); events fire in
+//!   `(time, sequence-number)` order, each handed to a caller-supplied
+//!   handler that may schedule or cancel further events.
 //! * [`dist`] provides the random distributions the experiments need
 //!   (exponential inter-arrivals, Zipf, Gamma/Beta for SOL's Thompson
 //!   sampling) built on a seeded [`rand::rngs::SmallRng`].
@@ -26,20 +27,25 @@
 //! ```
 //! use wave_sim::{Sim, SimTime};
 //!
-//! struct Model { fired: u32 }
+//! #[derive(Clone, Copy)]
+//! enum Ev { Ping, Pong }
 //!
 //! let mut sim = Sim::new();
-//! sim.schedule(SimTime::from_us(5), |m: &mut Model, _s| m.fired += 1);
-//! sim.schedule(SimTime::from_us(1), |m: &mut Model, s| {
-//!     m.fired += 1;
-//!     // Events may schedule further events.
-//!     s.schedule_in(SimTime::from_us(1), |m: &mut Model, _s| m.fired += 1);
+//! sim.schedule(SimTime::from_us(5), Ev::Pong);
+//! sim.schedule(SimTime::from_us(1), Ev::Ping);
+//! let mut fired = 0;
+//! sim.run(|s, ev| {
+//!     fired += 1;
+//!     if let Ev::Ping = ev {
+//!         // Handlers may schedule further events.
+//!         s.schedule_in(SimTime::from_us(1), Ev::Pong);
+//!     }
 //! });
-//! let mut model = Model { fired: 0 };
-//! sim.run(&mut model);
-//! assert_eq!(model.fired, 3);
+//! assert_eq!(fired, 3);
 //! assert_eq!(sim.now(), SimTime::from_us(5));
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod cpu;
 pub mod dist;

@@ -26,10 +26,6 @@ use std::collections::{BinaryHeap, HashSet};
 use proptest::prelude::*;
 use wave_sim::{Sim, SimTime};
 
-/// Execution log: `(time_ns, schedule_index)` per fired event.
-#[derive(Default)]
-struct Log(Vec<(u64, u64)>);
-
 /// The pre-wheel engine, distilled: a max-heap of `Reverse<(time, seq)>`
 /// with lazy cancellation. Trusted by inspection.
 #[derive(Default)]
@@ -108,12 +104,15 @@ proptest! {
         seed in 0u64..u64::MAX,
     ) {
         let mut rng = Rng(seed);
-        let mut sim: Sim<Log> = Sim::new();
+        // Each event is its schedule index, which doubles as the
+        // reference model's seq (both engines number schedules
+        // identically).
+        let mut sim: Sim<u64> = Sim::new();
         let mut reference = RefModel::default();
-        let mut log = Log::default();
-        // Ids issued so far: schedule index -> real engine id. The
-        // schedule index doubles as the reference model's seq (both
-        // engines number schedules identically).
+        // Execution log: `(time_ns, schedule_index)` per fired event.
+        let mut log = Vec::new();
+        let mut record = |s: &mut Sim<u64>, seq| log.push((s.now().as_ns(), seq));
+        // Ids issued so far: schedule index -> real engine id.
         let mut ids = Vec::new();
 
         for op in ops {
@@ -125,12 +124,7 @@ proptest! {
                     let delta = delta + rng.below(4);
                     let at = sim.now().as_ns().saturating_add(delta);
                     let seq = ids.len() as u64;
-                    ids.push(Some(sim.schedule(
-                        SimTime::from_ns(at),
-                        move |m: &mut Log, s: &mut Sim<Log>| {
-                            m.0.push((s.now().as_ns(), seq));
-                        },
-                    )));
+                    ids.push(Some(sim.schedule(SimTime::from_ns(at), seq)));
                     reference.schedule(at, seq);
                 }
                 // Cancel a random issued id (may already have fired or
@@ -149,13 +143,13 @@ proptest! {
                 // entries already staged in the drain heap.
                 8 => {
                     let n = 1 + rng.below(8);
-                    sim.step(&mut log, n);
+                    sim.step(n, &mut record);
                     reference.step(n);
                 }
                 // Single-event step: the tightest schedule/cancel/pop
                 // interleaving granularity.
                 _ => {
-                    sim.step(&mut log, 1);
+                    sim.step(1, &mut record);
                     reference.step(1);
                 }
             }
@@ -163,10 +157,10 @@ proptest! {
         }
 
         // Drain both to the end.
-        sim.run(&mut log);
+        sim.run(&mut record);
         reference.run();
 
-        prop_assert_eq!(&log.0, &reference.log, "execution order diverged");
+        prop_assert_eq!(&log, &reference.log, "execution order diverged");
         prop_assert_eq!(sim.executed(), reference.executed);
         if !reference.log.is_empty() {
             prop_assert_eq!(sim.now().as_ns(), reference.now, "clock diverged");
@@ -182,7 +176,7 @@ proptest! {
         seed in 0u64..u64::MAX,
     ) {
         let mut rng = Rng(seed);
-        let mut sim: Sim<Log> = Sim::new();
+        let mut sim: Sim<u64> = Sim::new();
         let mut reference = RefModel::default();
         let t_a = 1_000u64;
         let t_b = 1_000_000u64; // other side of the wheel span
@@ -190,9 +184,7 @@ proptest! {
         for (i, &cancel_me) in cancels.iter().enumerate() {
             let at = if rng.below(2) == 0 { t_a } else { t_b };
             let seq = i as u64;
-            ids.push(sim.schedule(SimTime::from_ns(at), move |m: &mut Log, s| {
-                m.0.push((s.now().as_ns(), seq));
-            }));
+            ids.push(sim.schedule(SimTime::from_ns(at), seq));
             reference.schedule(at, seq);
             if cancel_me {
                 // Cancel a random earlier survivor (possibly this one).
@@ -201,9 +193,9 @@ proptest! {
                 reference.cancel(pick as u64);
             }
         }
-        let mut log = Log::default();
-        sim.run(&mut log);
+        let mut log = Vec::new();
+        sim.run(|s, seq| log.push((s.now().as_ns(), seq)));
         reference.run();
-        prop_assert_eq!(&log.0, &reference.log);
+        prop_assert_eq!(&log, &reference.log);
     }
 }

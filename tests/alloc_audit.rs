@@ -1,6 +1,6 @@
 //! Allocation audit under a counting global allocator: steady-state
 //! event scheduling must not hit the global allocator (the engine's
-//! closure pool and recycled wheel buckets), and the scheduler model's
+//! recycled event slab and wheel buckets), and the scheduler model's
 //! agent pump must stay allocation-lean (reused `kicked`/prestage
 //! scratch buffers). A regression fails `cargo test --test alloc_audit`.
 //!
@@ -47,32 +47,32 @@ fn allocs() -> u64 {
 }
 
 /// Steady-state engine scheduling allocates (nearly) nothing: after a
-/// warm-up rotation fills the closure pool and sizes the wheel buckets,
+/// warm-up rotation sizes the event slab and the wheel buckets,
 /// a sustained rearm-and-fire load must run from recycled memory.
 fn audit_engine_steady_state() {
-    fn tick(m: &mut u64, s: &mut Sim<u64>) {
+    fn tick(m: &mut u64, s: &mut Sim<()>) {
         *m += 1;
         // Mixed horizons: most rearms land in wheel buckets, every 16th
         // in the overflow heap.
         let delta = if m.is_multiple_of(16) { 400_000 } else { 640 };
-        s.schedule_in(SimTime::from_ns(delta), tick);
+        s.schedule_in(SimTime::from_ns(delta), ());
     }
-    let mut sim: Sim<u64> = Sim::new();
+    let mut sim: Sim<()> = Sim::new();
     for i in 0..1024u64 {
-        sim.schedule(SimTime::from_ns(i * 10), tick);
+        sim.schedule(SimTime::from_ns(i * 10), ());
     }
     let mut m = 0u64;
     sim.set_horizon(SimTime::from_ms(4));
-    sim.run(&mut m); // Warm-up: pool fills, buckets size themselves.
+    sim.run(|s, ()| tick(&mut m, s)); // Warm-up: slab and buckets size themselves.
     let before = allocs();
     sim.set_horizon(SimTime::from_ms(10));
-    let executed = sim.run(&mut m);
+    let executed = sim.run(|s, ()| tick(&mut m, s));
     let during = allocs() - before;
     assert!(executed > 100_000, "audit underpowered: {executed} events");
     // Residual allocations come from wheel buckets re-sizing as vec
     // capacities shuffle between buckets and the drain heap; the old
     // engine boxed every closure (≥ 1 allocation *per event*), so a
-    // 1-per-20 budget pins the pool with a wide margin.
+    // 1-per-20 budget pins the recycled slab with a wide margin.
     assert!(
         during * 20 <= executed,
         "engine steady state hit the allocator: {during} allocations \
