@@ -544,6 +544,16 @@ impl<M, D: Copy> AgentRuntime<M, D> {
         }
     }
 
+    /// Tears the runtime down: unmaps its message-queue and slot
+    /// regions from the host's MMIO model, freeing their per-line
+    /// state. Consumes the runtime, since every later access to those
+    /// regions would panic. A caller that rebuilds a runtime (e.g. to
+    /// resize its slot table) releases the old one this way.
+    pub fn unmap(self, ic: &mut Interconnect) {
+        ic.mmio.unmap_region(self.msg_q.region());
+        ic.mmio.unmap_region(self.slots.region);
+    }
+
     // --- Host side: message submission ---------------------------------
 
     /// Host pushes one message, retrying once after a credit refresh.
@@ -1056,6 +1066,20 @@ mod tests {
             CpuModel::mount_evans(),
             &cfg,
         )
+    }
+
+    #[test]
+    fn unmap_releases_the_queue_and_slot_lines() {
+        let mut ic = Interconnect::pcie();
+        let mmio = runtime(&mut ic);
+        let mapped = ic.mmio.mapped_lines();
+        // The DMA runtime maps its head-pointer line and 8 slot lines.
+        let dma = dma_runtime(&mut ic);
+        assert_eq!(ic.mmio.mapped_lines(), mapped + 1 + 8);
+        dma.unmap(&mut ic);
+        assert_eq!(ic.mmio.mapped_lines(), mapped);
+        mmio.unmap(&mut ic);
+        assert_eq!(ic.mmio.mapped_lines(), 0);
     }
 
     #[test]

@@ -60,6 +60,11 @@ pub trait SchedPolicy: Send {
     fn on_removed(&mut self, threads: &mut ThreadTable, now: SimTime, tid: Tid);
 
     /// Picks the next thread to run, removing it from the run queue.
+    ///
+    /// With an empty run queue (`queue_depth() == 0`) this returns
+    /// `None` and changes no state, in the policy or in `threads`: the
+    /// agent pump relies on it to skip the call and charge only the
+    /// pick's compute cost.
     fn pick_next(&mut self, threads: &mut ThreadTable, now: SimTime) -> Option<Tid>;
 
     /// Number of runnable-but-unscheduled threads.
@@ -89,7 +94,8 @@ pub trait SchedPolicy: Send {
     /// Picks the next thread of `class`, removing it from the run
     /// queue — the class-aware steal entry point. Policies without
     /// per-class queues ignore the class and behave like
-    /// [`SchedPolicy::pick_next`].
+    /// [`SchedPolicy::pick_next`]. With an empty run queue it returns
+    /// `None` and changes no state, as `pick_next` does.
     fn pick_class(
         &mut self,
         threads: &mut ThreadTable,

@@ -355,6 +355,17 @@ impl ResourcePolicy for PickProducer<'_> {
     }
 }
 
+/// What a steal attempt ([`SchedSim::steal_pick`]) came to.
+enum Steal {
+    /// A sibling's pick was staged into the thief's slot.
+    Staged,
+    /// A victim was found but its pick failed (the thread vanished);
+    /// the victim's queue shrank, so a later scan may still find one.
+    PickFailed,
+    /// No sibling has backlog.
+    NoVictim,
+}
+
 /// The scheduling simulation model. Drive it with [`SchedSim::run`].
 pub struct SchedSim {
     cfg: SchedConfig,
@@ -892,6 +903,10 @@ impl SchedSim {
         let owned = std::mem::take(&mut self.owned_cores[si]);
         let mut kicked = std::mem::take(&mut self.kicked_scratch);
         kicked.clear();
+        // Siblings' queues only shrink while this pump serves, so once
+        // a steal scan finds no victim, none appears for the rest of
+        // the pump.
+        let mut no_victim = !self.cfg.steal;
         for &c in &owned {
             let cpu = CpuId(c);
             if !matches!(self.cores[c as usize], CoreState::Idle { waiting: true }) {
@@ -906,9 +921,11 @@ impl SchedSim {
                 .slots_ref()
                 .is_staged(self.local_slot(cpu))
                 || self.stage_pick(now, si, cpu, &mut nic_cost)
-                || (self.cfg.steal
-                    && self.shards[si].policy.queue_depth() == 0
-                    && self.steal_pick(now, si, cpu, &mut nic_cost));
+                || (!no_victim && self.shards[si].policy.queue_depth() == 0 && {
+                    let steal = self.steal_pick(now, si, cpu, &mut nic_cost);
+                    no_victim = matches!(steal, Steal::NoVictim);
+                    matches!(steal, Steal::Staged)
+                });
             if have {
                 let (sender_cpu, handler_at) = self.kick(now + nic_cost, cpu);
                 nic_cost += sender_cpu;
@@ -968,9 +985,6 @@ impl SchedSim {
         }
     }
 
-    /// Dequeues a thread from shard `si`'s policy and stages it for
-    /// `cpu`. Returns whether a decision was staged; accumulates agent
-    /// cost.
     /// Pick-cost parameters shared by local picks and steals: the
     /// agent-core scaling plus any scenario-specific extra (e.g.
     /// OnHost-Schedule reading RPC headers over PCIe before it can place
@@ -1015,10 +1029,25 @@ impl SchedSim {
         }
     }
 
+    /// Dequeues a thread from shard `si`'s policy and stages it for
+    /// `cpu`. Returns whether a decision was staged; accumulates agent
+    /// cost.
+    ///
+    /// An empty run queue picks nothing and changes nothing
+    /// ([`SchedPolicy::pick_next`]), so that case only charges the
+    /// pick's compute cost, exactly as [`AgentRuntime::stage_with`]
+    /// would, without the call.
+    ///
+    /// [`AgentRuntime::stage_with`]: wave_core::runtime::AgentRuntime::stage_with
     fn stage_pick(&mut self, now: SimTime, si: usize, cpu: CpuId, nic_cost: &mut SimTime) -> bool {
         let stage_cost = self.stage_cost();
         let slot = self.local_slot(cpu);
         let shard = &mut self.shards[si];
+        if shard.policy.queue_depth() == 0 {
+            *nic_cost += shard.policy.compute_cost().scale(stage_cost.ratio);
+            *nic_cost += stage_cost.extra;
+            return false;
+        }
         let mut producer = PickProducer {
             policy: shard.policy.as_mut(),
             threads: &mut self.threads,
@@ -1039,13 +1068,13 @@ impl SchedSim {
     /// throughput-class flood (single-class policies degenerate to the
     /// old deepest-sibling rule). The thief pays the pick cost (the
     /// victim's run queue lives in shared SmartNIC memory).
-    fn steal_pick(&mut self, now: SimTime, si: usize, cpu: CpuId, nic_cost: &mut SimTime) -> bool {
+    fn steal_pick(&mut self, now: SimTime, si: usize, cpu: CpuId, nic_cost: &mut SimTime) -> Steal {
         if self.shards.len() < 2 {
-            return false;
+            return Steal::NoVictim;
         }
         let policies = self.shards.iter().map(|sh| sh.policy.as_ref());
         let Some((vi, class)) = steal_victim(policies, si, &mut self.class_scratch) else {
-            return false;
+            return Steal::NoVictim;
         };
         let stage_cost = self.stage_cost();
         let slot = self.local_slot(cpu);
@@ -1063,14 +1092,15 @@ impl SchedSim {
             next_txn: &mut self.next_txn,
             class: Some(class),
         };
-        let staged =
-            thief
-                .rt
-                .stage_with(now, &mut self.ic, &mut producer, slot, stage_cost, nic_cost);
-        if staged {
+        if thief
+            .rt
+            .stage_with(now, &mut self.ic, &mut producer, slot, stage_cost, nic_cost)
+        {
             self.diag.steals += 1;
+            Steal::Staged
+        } else {
+            Steal::PickFailed
         }
-        staged
     }
 
     // --- Rebalancing -------------------------------------------------------

@@ -312,6 +312,13 @@ impl SolRunner {
     /// count on the runtime's load counter
     /// ([`AgentRuntime::note_load`]), the scan-rate signal a
     /// [`wave_core::shard_map::Rebalancer`] samples.
+    ///
+    /// The runtime is built on the first call and rebuilt whenever the
+    /// policy's batch count changes (a rebalance resized the shard).
+    /// A rebuild first unmaps the old runtime's queue and slot regions
+    /// ([`AgentRuntime::unmap`]), so `ic` only ever holds the live
+    /// runtime's lines: the ingest queue's head-pointer line plus one
+    /// slot line per managed batch.
     pub fn run_iteration(
         &mut self,
         ic: &mut Interconnect,
@@ -325,12 +332,16 @@ impl SolRunner {
         let wire = batches * self.cfg.wire_bytes_per_batch;
         let (scan, classify) = self.phase_costs(batches);
 
-        // (Re)build the runtime if the managed batch count changed.
+        // (Re)build the runtime if the managed batch count changed,
+        // unmapping the one it replaces.
         if self
             .rt
             .as_ref()
             .is_none_or(|rt| rt.slots_ref().len() != policy.len())
         {
+            if let Some(old) = self.rt.take() {
+                old.unmap(ic);
+            }
             let rcfg = self.runtime_config(policy.len());
             self.rt = Some(AgentRuntime::new(
                 ic,
@@ -376,11 +387,6 @@ impl SolRunner {
         // forming compute is the classify phase above, so the stager
         // charges zero compute here; only the slot writes accrue, onto
         // the agent's serial clock.
-        let targets: Vec<SlotId> = policy
-            .flips()
-            .iter()
-            .map(|&(b, _)| SlotId(policy.local_index(b) as u32))
-            .collect();
         let mut stager = MigrationStager::new(policy.flips().iter().copied(), SimTime::ZERO);
         let stage_at = arrive + scan;
         let stage_cost = StageCost {
@@ -388,7 +394,8 @@ impl SolRunner {
             extra: SimTime::ZERO,
         };
         let mut stage_cpu = SimTime::ZERO;
-        for slot in targets {
+        for &local in policy.flip_locals() {
+            let slot = SlotId(local as u32);
             if rt.stage_with(stage_at, ic, &mut stager, slot, stage_cost, &mut stage_cpu) {
                 rt.record_decision(stage_at + stage_cpu);
             }

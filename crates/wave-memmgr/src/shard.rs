@@ -951,4 +951,44 @@ mod tests {
             "restarted shard ships replayed decisions"
         );
     }
+
+    #[test]
+    fn rebuilt_runtimes_release_their_mappings() {
+        let fp = skewed_world();
+        let mut k2 = ShardedSolRunner::new(
+            RunnerConfig::paper(CoreClass::NicArm, 16),
+            CpuModel::mount_evans(),
+            2,
+            SolConfig::paper(),
+            fp.batches(),
+            4,
+        )
+        .with_rebalance(wave_core::shard_map::RebalanceConfig::every(
+            SimTime::from_ms(600),
+        ));
+        let mut resizes = 0;
+        let mut sizes = [0; 2];
+        for step in 0..40 {
+            let now = SimTime::from_ms(600 * step);
+            k2.run_iteration(&fp, now);
+            for (i, sh) in k2.shards.iter().enumerate() {
+                let rt = sh.runner.runtime().expect("built on the first iteration");
+                let slots = rt.slots_ref().len();
+                resizes += usize::from(sizes[i] != 0 && sizes[i] != slots);
+                sizes[i] = slots;
+                // The live runtime maps its DMA queue's head-pointer
+                // line and one slot line per batch; nothing else.
+                assert_eq!(
+                    sh.ic.mmio.mapped_lines(),
+                    1 + slots as u64,
+                    "shard {i} at step {step}"
+                );
+            }
+            k2.maybe_rebalance(now);
+        }
+        assert!(
+            resizes >= 4,
+            "rebalancing resized the shards {resizes} times"
+        );
+    }
 }

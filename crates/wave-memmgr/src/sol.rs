@@ -53,7 +53,7 @@ impl Default for SolConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct BatchState {
     alpha: f64,
     beta: f64,
@@ -98,6 +98,8 @@ pub struct SolPolicy {
     /// Classification flips observed by the most recent iteration —
     /// the migration decisions the agent stages back to the host.
     flips: Vec<(usize, bool)>,
+    /// The local index of each entry of `flips`, found during the scan.
+    flip_locals: Vec<usize>,
 }
 
 /// The uninformative prior every batch starts from (and re-pulls after
@@ -145,6 +147,7 @@ impl SolPolicy {
             ids,
             last_epoch: SimTime::ZERO,
             flips: Vec::new(),
+            flip_locals: Vec::new(),
         }
     }
 
@@ -178,6 +181,35 @@ impl SolPolicy {
         self.ids
             .binary_search(&global)
             .unwrap_or_else(|_| panic!("batch {global} is not managed by this policy"))
+    }
+
+    /// The local index of `global`, searching from `cursor` (the local
+    /// index just past the previous lookup). An ascending due list hits
+    /// `ids[cursor]` or lands a few entries further on, so the forward
+    /// gallop touches O(log gap) ids instead of O(log n); out-of-order
+    /// input falls back to [`SolPolicy::local_index`], which also keeps
+    /// its panic for an unmanaged id.
+    fn local_index_from(&self, global: usize, cursor: usize) -> usize {
+        let ids = &self.ids;
+        match ids.get(cursor) {
+            Some(&g) if g == global => cursor,
+            Some(&g) if g < global => {
+                // Double the stride until it passes `global`: then
+                // ids[cursor + stride / 2] < global, and the id, if
+                // managed, sits in the last stride.
+                let mut stride = 1;
+                while cursor + stride < ids.len() && ids[cursor + stride] < global {
+                    stride *= 2;
+                }
+                let lo = cursor + stride / 2 + 1;
+                let hi = (cursor + stride + 1).min(ids.len());
+                match ids[lo..hi].binary_search(&global) {
+                    Ok(k) => lo + k,
+                    Err(_) => self.local_index(global),
+                }
+            }
+            _ => self.local_index(global),
+        }
     }
 
     /// Posterior mean for a (global) batch index (test/telemetry).
@@ -296,6 +328,17 @@ impl SolPolicy {
     /// Like [`SolPolicy::iterate`], but scans an explicit (global) batch
     /// list — the agent-side entry point, fed by the PTE deltas polled
     /// off the runtime's DMA ingest leg rather than recomputed locally.
+    ///
+    /// Every caller hands over an ascending list (the due list, shipped
+    /// in order as the PTE stream and polled back in order), so each
+    /// batch's posterior is found by a cursor that walks the managed
+    /// ids forward from the previous hit, not by a fresh binary search.
+    /// Any order is still accepted and gives the same result; an
+    /// out-of-order id just costs a full search.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a batch in `due` is not managed by this policy.
     pub fn iterate_batches(
         &mut self,
         now: SimTime,
@@ -304,13 +347,16 @@ impl SolPolicy {
         rng: &mut SmallRng,
     ) -> SolStats {
         self.flips.clear();
+        self.flip_locals.clear();
         let mut stats = SolStats {
             scanned: due.len() as u64,
             ..SolStats::default()
         };
+        let mut cursor = 0;
         for &i in due {
             let touched = workload.sample_access(i, rng);
-            let local = self.local_index(i);
+            let local = self.local_index_from(i, cursor);
+            cursor = local + 1;
             let b = &mut self.batches[local];
             if touched {
                 b.alpha += 1.0;
@@ -323,6 +369,7 @@ impl SolPolicy {
             b.classified_hot = theta > self.cfg.hot_threshold;
             if b.classified_hot != was_hot {
                 self.flips.push((i, b.classified_hot));
+                self.flip_locals.push(local);
             }
             // Frequency adaptation: confident batches scan slower;
             // uncertain ones stay fast (the overhead-reduction loop the
@@ -352,6 +399,13 @@ impl SolPolicy {
     /// into its decision slots and ships back to the host (§4.2).
     pub fn flips(&self) -> &[(usize, bool)] {
         &self.flips
+    }
+
+    /// The local index ([`SolPolicy::local_index`]) of each batch in
+    /// [`SolPolicy::flips`], in the same order: the decision slot each
+    /// flip stages into.
+    pub fn flip_locals(&self) -> &[usize] {
+        &self.flip_locals
     }
 
     /// Whether an epoch boundary has passed since the last migration.
@@ -603,5 +657,150 @@ mod tests {
             "{}",
             policy.posterior_mean(last)
         );
+    }
+
+    /// Reference model: the scan loop as it was before the cursor, with
+    /// a fresh `local_index` binary search per scanned batch.
+    fn iterate_by_search(
+        p: &mut SolPolicy,
+        now: SimTime,
+        due: &[usize],
+        workload: &DbFootprint,
+        rng: &mut SmallRng,
+    ) -> SolStats {
+        p.flips.clear();
+        let mut stats = SolStats {
+            scanned: due.len() as u64,
+            ..SolStats::default()
+        };
+        for &i in due {
+            let touched = workload.sample_access(i, rng);
+            let local = p.local_index(i);
+            let b = &mut p.batches[local];
+            if touched {
+                b.alpha += 1.0;
+            } else {
+                b.beta += 1.0;
+            }
+            b.scans += 1;
+            let theta = Beta::new(b.alpha, b.beta).sample(rng);
+            let was_hot = b.classified_hot;
+            b.classified_hot = theta > p.cfg.hot_threshold;
+            if b.classified_hot != was_hot {
+                p.flips.push((i, b.classified_hot));
+            }
+            let mean = b.alpha / (b.alpha + b.beta);
+            let confident = b.scans >= p.cfg.confidence_scans && (mean - 0.5).abs() > 0.25;
+            if confident {
+                b.rung = (b.rung + 1).min(p.cfg.period_rungs - 1);
+            } else {
+                b.rung = b.rung.saturating_sub(1);
+            }
+            b.next_scan = now + p.cfg.base_period * (1u64 << b.rung);
+        }
+        for b in &p.batches {
+            if b.classified_hot {
+                stats.hot += 1;
+            } else {
+                stats.cold += 1;
+            }
+        }
+        stats
+    }
+
+    /// A random subset of `from` (each kept with probability
+    /// `keep_pct`%), in `from`'s order.
+    fn subset(from: &[usize], keep_pct: u64, g: &mut SmallRng) -> Vec<usize> {
+        use rand::Rng;
+        from.iter()
+            .copied()
+            .filter(|_| g.random_range(0..100u64) < keep_pct)
+            .collect()
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The cursor lookup is observationally identical to a binary
+        /// search per batch: same stats, flips, posteriors and RNG
+        /// stream, over ascending due lists (what every caller passes),
+        /// non-contiguous post-handoff slices and shuffled lists.
+        #[test]
+        fn cursor_lookup_matches_binary_search(
+            seed in 0u64..u64::MAX,
+            keep in 1u64..100,
+            due_pct in 1u64..101,
+            shape in 0u64..3,
+        ) {
+            use rand::Rng;
+            let fp = DbFootprint::new(FootprintConfig::paper(0.001), AccessPattern::Scattered, 7);
+            let mut g = wave_sim::rng(seed);
+            let all: Vec<usize> = (0..fp.batches()).collect();
+            let mut ids = subset(&all, keep, &mut g);
+            if ids.is_empty() {
+                ids.push(g.random_range(0..fp.batches()));
+            }
+            let mut real = SolPolicy::with_batches(SolConfig::paper(), ids.clone());
+            let mut reference = SolPolicy::with_batches(SolConfig::paper(), ids.clone());
+            if shape == 1 && ids.len() > 1 {
+                // A rebalance handoff in each direction.
+                let released: Vec<usize> = subset(&ids[1..], 30, &mut g);
+                let outside: Vec<usize> = all.iter().copied().filter(|i| !ids.contains(i)).collect();
+                let adopted = subset(&outside, 30, &mut g);
+                for p in [&mut real, &mut reference] {
+                    p.release_batches(&released);
+                    p.adopt_batches(&adopted);
+                }
+            }
+            let (mut rng_real, mut rng_ref) = (wave_sim::rng(seed ^ 1), wave_sim::rng(seed ^ 1));
+            let mut now = SimTime::ZERO;
+            for _ in 0..4 {
+                let mut due = subset(real.batch_ids(), due_pct, &mut g);
+                if shape == 2 {
+                    for i in (1..due.len()).rev() {
+                        due.swap(i, g.random_range(0..=i));
+                    }
+                }
+                let got = real.iterate_batches(now, &due, &fp, &mut rng_real);
+                let want = iterate_by_search(&mut reference, now, &due, &fp, &mut rng_ref);
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(real.flips(), reference.flips());
+                let locals: Vec<usize> =
+                    real.flips().iter().map(|&(b, _)| real.local_index(b)).collect();
+                prop_assert_eq!(real.flip_locals(), &locals[..]);
+                prop_assert_eq!(&real.batches, &reference.batches);
+                prop_assert_eq!(rng_real.random::<u64>(), rng_ref.random::<u64>());
+                now += SimTime::from_ms(600);
+            }
+        }
+    }
+
+    #[test]
+    fn scanning_an_unmanaged_batch_still_panics() {
+        let fp = DbFootprint::new(FootprintConfig::paper(0.001), AccessPattern::Scattered, 7);
+        // Unmanaged ids inside a gap, past the end, before the start and
+        // after a backwards step.
+        for due in [
+            &[4][..],
+            &[1, 4],
+            &[1, 3, 9],
+            &[0, 1],
+            &[7, 2],
+            &[1, 3, 5, 7, 8],
+        ] {
+            let mut p = SolPolicy::with_batches(SolConfig::paper(), vec![1, 3, 5, 7]);
+            let mut rng = wave_sim::rng(1);
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                p.iterate_batches(SimTime::ZERO, due, &fp, &mut rng)
+            }))
+            .expect_err("unmanaged batch accepted");
+            let msg = err.downcast_ref::<String>().expect("formatted panic");
+            assert!(
+                msg.ends_with("is not managed by this policy"),
+                "{due:?}: {msg}"
+            );
+        }
     }
 }

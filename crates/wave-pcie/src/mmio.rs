@@ -27,6 +27,19 @@
 //! * **Coherent mode** (§7.3.3): with a UPI/CXL-style interconnect the
 //!   same API provides hardware coherence — device writes invalidate host
 //!   snapshots automatically and `clflush` becomes a no-op.
+//!
+//! # Region lifetime
+//!
+//! A region lives from [`HostMmio::map_region`] to
+//! [`HostMmio::unmap_region`]. Mapping allocates the per-line state up
+//! front (three dense vectors, one entry per line). Unmapping frees it
+//! and leaves a zero-line *tombstone* in place, so [`RegionId`]s stay
+//! stable and are never reused: an agent that rebuilds its runtime
+//! (the memory agent after a rebalance resizes its shard) maps fresh
+//! regions and releases the old ones, and the model's memory tracks
+//! the live mappings only ([`HostMmio::mapped_lines`]). Any access to a
+//! tombstone panics with a message naming the region — a use after
+//! unmap is a bug in the caller, never a silent read of stale state.
 
 use crate::config::PcieConfig;
 use crate::pte::PteType;
@@ -92,6 +105,8 @@ struct CacheLine {
 #[derive(Debug)]
 struct Region {
     pte: PteType,
+    /// Mapped line count; 0 marks an unmapped region's tombstone
+    /// (`map_region` rejects empty regions).
     lines: u64,
     /// Cached snapshot per line (`None` = not cached).
     cache: Vec<Option<CacheLine>>,
@@ -190,6 +205,29 @@ impl HostMmio {
         id
     }
 
+    /// Unmaps a region: frees its per-line state and drops its lines
+    /// from the pending write-combining list, leaving a zero-line
+    /// tombstone so the id is never reused. Stores still buffered for
+    /// the region are discarded, as the mapping they targeted is gone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the region is already unmapped.
+    pub fn unmap_region(&mut self, region: RegionId) {
+        let r = self.region_mut(region);
+        r.lines = 0;
+        r.cache = Vec::new();
+        r.wc = Vec::new();
+        r.device_writes = Vec::new();
+        self.dirty.retain(|a| a.region != region);
+    }
+
+    /// Lines currently mapped across all live regions (telemetry:
+    /// unmapped regions count zero).
+    pub fn mapped_lines(&self) -> u64 {
+        self.regions.iter().map(|r| r.lines).sum()
+    }
+
     /// Changes the PTE type of a region (Wave's `SET_QUEUE_TYPE`),
     /// dropping all cached/buffered state.
     ///
@@ -209,7 +247,7 @@ impl HostMmio {
 
     /// The PTE type of a region.
     pub fn pte(&self, region: RegionId) -> PteType {
-        self.regions[region.0 as usize].pte
+        self.region(region).pte
     }
 
     /// Telemetry counters.
@@ -217,8 +255,29 @@ impl HostMmio {
         self.stats
     }
 
+    fn region(&self, region: RegionId) -> &Region {
+        let r = &self.regions[region.0 as usize];
+        assert!(r.lines > 0, "region {} is unmapped", region.0);
+        r
+    }
+
     fn region_mut(&mut self, region: RegionId) -> &mut Region {
-        &mut self.regions[region.0 as usize]
+        let r = &mut self.regions[region.0 as usize];
+        assert!(r.lines > 0, "region {} is unmapped", region.0);
+        r
+    }
+
+    /// The region holding `addr` and the line's index in it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the region is unmapped or the line is out of bounds.
+    fn line_mut(&mut self, addr: LineAddr) -> (&mut Region, usize) {
+        let r = &mut self.regions[addr.region.0 as usize];
+        if addr.line >= r.lines {
+            bad_line(addr, r.lines);
+        }
+        (r, addr.line as usize)
     }
 
     /// Records that the SmartNIC wrote `addr` at time `at`.
@@ -229,9 +288,7 @@ impl HostMmio {
     /// hardware would.
     pub fn note_device_write(&mut self, addr: LineAddr, at: SimTime) {
         let coherent = self.cfg.is_coherent();
-        let r = self.region_mut(addr.region);
-        assert!(addr.line < r.lines, "line {} out of bounds", addr.line);
-        let line = addr.line as usize;
+        let (r, line) = self.line_mut(addr);
         let entry = r.device_writes[line].get_or_insert(at);
         *entry = (*entry).max(at);
         if coherent {
@@ -243,7 +300,8 @@ impl HostMmio {
     ///
     /// # Panics
     ///
-    /// Panics if the line index is out of bounds for the region.
+    /// Panics if the region is unmapped or the line index is out of
+    /// bounds for it.
     pub fn read(&mut self, now: SimTime, addr: LineAddr) -> ReadOutcome {
         let read_ns = self.cfg.mmio_read_ns;
         let hit_ns = self.cfg.wt_hit_ns;
@@ -255,9 +313,7 @@ impl HostMmio {
         }
         let coherent = self.cfg.is_coherent();
         let (outcome, kind) = {
-            let r = self.region_mut(addr.region);
-            assert!(addr.line < r.lines, "line {} out of bounds", addr.line);
-            let idx = addr.line as usize;
+            let (r, idx) = self.line_mut(addr);
             // Hardware coherence: a device store that has landed since
             // our snapshot invalidates the cached copy, even if the line
             // was filled while the store was still in flight.
@@ -343,7 +399,8 @@ impl HostMmio {
     ///
     /// # Panics
     ///
-    /// Panics if the line index is out of bounds for the region.
+    /// Panics if the region is unmapped or the line index is out of
+    /// bounds for it.
     pub fn write(&mut self, now: SimTime, addr: LineAddr, words: u64) -> WriteOutcome {
         let uc_ns = self.cfg.mmio_write_uc_ns;
         let wc_ns = self.cfg.mmio_write_wc_ns;
@@ -351,9 +408,7 @@ impl HostMmio {
         let words_per_line = self.cfg.words_per_line();
         self.stats.writes += words;
         let mut autodrained = false;
-        let r = &mut self.regions[addr.region.0 as usize];
-        assert!(addr.line < r.lines, "line {} out of bounds", addr.line);
-        let idx = addr.line as usize;
+        let (r, idx) = self.line_mut(addr);
         let outcome = match r.pte {
             PteType::Uncacheable | PteType::WriteThrough | PteType::WriteBack => {
                 let cpu = SimTime::from_ns(uc_ns * words);
@@ -425,9 +480,8 @@ impl HostMmio {
             return SimTime::ZERO;
         }
         self.stats.flushes += 1;
-        let r = self.region_mut(addr.region);
-        assert!(addr.line < r.lines, "line {} out of bounds", addr.line);
-        r.cache[addr.line as usize] = None;
+        let (r, idx) = self.line_mut(addr);
+        r.cache[idx] = None;
         SimTime::from_ns(self.cfg.clflush_ns)
     }
 
@@ -438,18 +492,16 @@ impl HostMmio {
     pub fn prefetch(&mut self, now: SimTime, addr: LineAddr) -> SimTime {
         let read_ns = self.cfg.mmio_read_ns;
         let one_way = self.cfg.one_way_ns;
-        let pte = self.regions[addr.region.0 as usize].pte;
-        if !pte.caches_loads() {
+        let (r, idx) = self.line_mut(addr);
+        if !r.pte.caches_loads() {
             // Prefetching an uncacheable line has no effect.
             return SimTime::ZERO;
         }
-        self.stats.prefetches += 1;
-        let r = self.region_mut(addr.region);
-        assert!(addr.line < r.lines, "line {} out of bounds", addr.line);
-        r.cache[addr.line as usize].get_or_insert(CacheLine {
+        r.cache[idx].get_or_insert(CacheLine {
             ready_at: now + SimTime::from_ns(read_ns),
             snapshot_at: now + SimTime::from_ns(one_way),
         });
+        self.stats.prefetches += 1;
         SimTime::from_ns(self.cfg.prefetch_issue_ns)
     }
 
@@ -457,7 +509,7 @@ impl HostMmio {
     /// the line after the host's cached snapshot was taken. Used by tests
     /// to prove the coherence hazard is real.
     pub fn is_stale(&self, addr: LineAddr) -> bool {
-        let r = &self.regions[addr.region.0 as usize];
+        let r = self.region(addr.region);
         let idx = addr.line as usize;
         match (
             r.cache.get(idx).copied().flatten(),
@@ -467,6 +519,17 @@ impl HostMmio {
             _ => false,
         }
     }
+}
+
+/// The panic behind every line bounds check: a line index at or past
+/// `lines` is either in a tombstone (0 lines) or past a live region's
+/// end.
+#[cold]
+fn bad_line(addr: LineAddr, lines: u64) -> ! {
+    if lines == 0 {
+        panic!("region {} is unmapped", addr.region.0);
+    }
+    panic!("line {} out of bounds", addr.line);
 }
 
 #[cfg(test)]
@@ -750,5 +813,87 @@ mod tests {
         assert!(m.dirty.is_empty());
         assert_eq!(m.dirty.capacity(), cap);
         assert!(m.regions[0].wc.iter().all(|&w| w == 0));
+    }
+
+    #[test]
+    fn unmap_frees_the_lines_and_keeps_ids_stable() {
+        let mut m = HostMmio::new(PcieConfig::pcie());
+        let a = m.map_region(PteType::WriteThrough, 16);
+        let b = m.map_region(PteType::Uncacheable, 4);
+        assert_eq!(m.mapped_lines(), 20);
+        m.unmap_region(a);
+        assert_eq!(m.mapped_lines(), 4);
+        let r = &m.regions[a.0 as usize];
+        assert_eq!(r.lines, 0);
+        assert_eq!(r.cache.capacity() + r.wc.capacity(), 0);
+        assert_eq!(r.device_writes.capacity(), 0);
+        // A later mapping takes a fresh id; the survivor is untouched.
+        let c = m.map_region(PteType::WriteThrough, 2);
+        assert_eq!(c, RegionId(2));
+        assert_eq!(
+            m.read(SimTime::ZERO, LineAddr::new(b, 3)).cpu,
+            SimTime::from_ns(750)
+        );
+        assert_eq!(m.mapped_lines(), 6);
+    }
+
+    #[test]
+    fn every_access_to_a_tombstone_panics_naming_it() {
+        type Op = fn(&mut HostMmio, LineAddr);
+        let ops: [(&str, Op); 9] = [
+            ("read", |m, a| {
+                m.read(SimTime::ZERO, a);
+            }),
+            ("write", |m, a| {
+                m.write(SimTime::ZERO, a, 1);
+            }),
+            ("clflush", |m, a| {
+                m.clflush(SimTime::ZERO, a);
+            }),
+            ("prefetch", |m, a| {
+                m.prefetch(SimTime::ZERO, a);
+            }),
+            ("note_device_write", |m, a| {
+                m.note_device_write(a, SimTime::ZERO)
+            }),
+            ("is_stale", |m, a| {
+                m.is_stale(a);
+            }),
+            ("pte", |m, a| {
+                m.pte(a.region);
+            }),
+            ("set_pte", |m, a| m.set_pte(a.region, PteType::Uncacheable)),
+            ("unmap_region", |m, a| m.unmap_region(a.region)),
+        ];
+        for (name, op) in ops {
+            let (mut m, a) = mmio(PteType::WriteThrough);
+            m.map_region(PteType::WriteThrough, 1);
+            m.unmap_region(a.region);
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| op(&mut m, a)))
+                .expect_err(name);
+            let msg = err
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| err.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert_eq!(msg, "region 0 is unmapped", "{name}");
+        }
+    }
+
+    #[test]
+    fn sfence_after_unmapping_a_dirty_region_is_safe() {
+        let mut m = HostMmio::new(PcieConfig::pcie());
+        let gone = m.map_region(PteType::WriteCombining, 8);
+        let kept = m.map_region(PteType::WriteCombining, 8);
+        for line in 0..4 {
+            m.write(SimTime::ZERO, LineAddr::new(gone, line), 2);
+            m.write(SimTime::ZERO, LineAddr::new(kept, line), 2);
+        }
+        m.unmap_region(gone);
+        assert_eq!(m.dirty.len(), 4, "only the live region's lines stay listed");
+        assert!(m.dirty.iter().all(|a| a.region == kept));
+        let f = m.sfence(SimTime::ZERO);
+        assert!(f.visible_at.is_some());
+        assert!(m.regions[kept.0 as usize].wc.iter().all(|&w| w == 0));
     }
 }

@@ -130,8 +130,9 @@ pub struct WaveQueue<T> {
     capacity: u64,
     entry_words: u64,
     lines_per_entry: u64,
-    /// MMIO region backing this queue (always mapped, even for DMA
-    /// queues, which use it for the published head pointer).
+    /// MMIO region backing this queue: the entry ring plus the
+    /// published head pointer for MMIO queues, the head-pointer line
+    /// alone for DMA queues.
     region: RegionId,
     /// SoC-side mapping used by NIC accesses to this queue's memory.
     nic_pte: SocPteMode,
@@ -163,9 +164,17 @@ impl<T> WaveQueue<T> {
     /// Creates a queue and maps its backing region.
     ///
     /// `host_pte` controls how the *host* maps the queue's SmartNIC
-    /// memory (ignored for DMA transports, which stage locally);
-    /// `nic_pte` controls the SoC-side mapping (the Table 3 "WB PTEs on
-    /// SmartNIC" lever).
+    /// memory; `nic_pte` controls the SoC-side mapping (the Table 3 "WB
+    /// PTEs on SmartNIC" lever).
+    ///
+    /// An MMIO queue maps its entry ring (`capacity` entries of
+    /// `⌈entry_words / 8⌉` lines each) plus one line for the published
+    /// head pointer. A DMA queue maps only that head-pointer line: its
+    /// entries are staged in the producer's local memory and land in
+    /// the consumer's by DMA, so no entry line is ever accessed over
+    /// MMIO. The head line is what the host's credit refresh reads
+    /// ([`WaveQueue::sync_credits`]) and a host consumer's head
+    /// publication writes, with `host_pte` semantics.
     ///
     /// # Panics
     ///
@@ -183,8 +192,12 @@ impl<T> WaveQueue<T> {
         assert!(entry_words > 0, "entries must be at least one word");
         let words_per_line = ic.cfg.words_per_line();
         let lines_per_entry = entry_words.div_ceil(words_per_line);
-        // One extra line for the published head pointer.
-        let region = ic.mmio.map_region(host_pte, capacity * lines_per_entry + 1);
+        // The published head pointer takes the line after the ring.
+        let ring_lines = match transport {
+            Transport::Mmio => capacity * lines_per_entry,
+            Transport::Dma(_) => 0,
+        };
+        let region = ic.mmio.map_region(host_pte, ring_lines + 1);
         WaveQueue {
             dir,
             transport,
@@ -252,14 +265,20 @@ impl<T> WaveQueue<T> {
         self.entries.front().map(|s| s.visible_at)
     }
 
-    /// Line address of the slot for absolute index `i`.
+    /// Line address of the slot for absolute index `i` (MMIO queues
+    /// only: a DMA queue maps no entry lines).
     fn entry_line(&self, i: u64) -> LineAddr {
         LineAddr::new(self.region, (i % self.capacity) * self.lines_per_entry)
     }
 
-    /// Line address of the published head pointer.
+    /// Line address of the published head pointer: the line after the
+    /// ring, which for a DMA queue is the region's only line.
     fn head_line(&self) -> LineAddr {
-        LineAddr::new(self.region, self.capacity * self.lines_per_entry)
+        let line = match self.transport {
+            Transport::Mmio => self.capacity * self.lines_per_entry,
+            Transport::Dma(_) => 0,
+        };
+        LineAddr::new(self.region, line)
     }
 
     /// Pushes one entry. Cheap for the producer; the entry may require a
@@ -469,6 +488,11 @@ impl<T> WaveQueue<T> {
     /// [`WaveQueue::invalidate_head`] (`clflush`) runs, typically from
     /// the MSI-X handler.
     ///
+    /// A DMA queue's entries were written into host DRAM by the engine,
+    /// which keeps them coherent with the host's caches: the poll drains
+    /// every entry whose transfer has completed by `now`, paying one
+    /// cache-hit load per entry line and no PCIe round trip.
+    ///
     /// # Panics
     ///
     /// Panics if called on a queue whose consumer is not the host.
@@ -476,6 +500,16 @@ impl<T> WaveQueue<T> {
         assert_eq!(self.dir.consumer(), Side::Host, "host is not the consumer");
         let mut cpu = SimTime::ZERO;
         let mut items = Vec::new();
+        if let Transport::Dma(_) = self.transport {
+            let load = SimTime::from_ns(ic.cfg.wt_hit_ns) * self.lines_per_entry;
+            while items.len() < max && self.entries.front().is_some_and(|s| s.visible_at <= now) {
+                let slot = self.entries.pop_front().expect("checked nonempty");
+                cpu += load;
+                cpu += self.record_pop(now + cpu, ic);
+                items.push(slot.payload);
+            }
+            return PollOutcome { cpu, items };
+        }
         let words_per_line = ic.cfg.words_per_line();
         loop {
             if items.len() >= max {
@@ -513,13 +547,17 @@ impl<T> WaveQueue<T> {
 
     /// Flushes the host's cached view of the next entries (`clflush`,
     /// §5.3.2). Called by the host when it *knows* fresh data exists
-    /// (e.g. on MSI-X receipt). Returns the CPU cost.
+    /// (e.g. on MSI-X receipt). Returns the CPU cost; free on a DMA
+    /// queue, whose entries sit in coherent host DRAM.
     pub fn invalidate_head(
         &mut self,
         now: SimTime,
         ic: &mut Interconnect,
         entries: u64,
     ) -> SimTime {
+        if let Transport::Dma(_) = self.transport {
+            return SimTime::ZERO;
+        }
         let mut cpu = SimTime::ZERO;
         for i in 0..entries {
             let line = self.entry_line(self.head + i);
@@ -533,8 +571,12 @@ impl<T> WaveQueue<T> {
     }
 
     /// Issues a prefetch for the next entry's line(s) (§5.4). Returns the
-    /// (tiny) CPU cost; the fill completes in the background.
+    /// (tiny) CPU cost; the fill completes in the background. Free on a
+    /// DMA queue, whose entries sit in coherent host DRAM.
     pub fn prefetch_head(&mut self, now: SimTime, ic: &mut Interconnect) -> SimTime {
+        if let Transport::Dma(_) = self.transport {
+            return SimTime::ZERO;
+        }
         let line = self.entry_line(self.head);
         let mut cpu = SimTime::ZERO;
         for extra in 0..self.lines_per_entry {
@@ -558,6 +600,7 @@ fn mark_visible<'a, T: 'a>(slots: impl Iterator<Item = &'a mut Slot<T>>, at: Sim
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wave_pcie::mmio::MmioStats;
     use wave_pcie::Interconnect;
 
     fn decision_queue(ic: &mut Interconnect, host_pte: PteType) -> WaveQueue<u32> {
@@ -958,5 +1001,143 @@ mod tests {
         assert_eq!(ic.dma.bytes_moved(), 5 * 8 * 8);
         let visible = visible_ats(&q);
         assert!(visible[0] == visible[2] && visible[2] < visible[3]);
+    }
+
+    /// Every cost a DMA queue charges, in call order, through a
+    /// push / flush / poll / credit-refresh sequence that wraps the
+    /// ring, plus the MMIO counters it leaves behind.
+    fn dma_queue_costs(host_pte: PteType) -> (Vec<u64>, MmioStats) {
+        let mut ic = Interconnect::pcie();
+        let mut q = WaveQueue::<u32>::new(
+            &mut ic,
+            Direction::HostToNic,
+            Transport::Dma(DmaMode::Async),
+            8,
+            7,
+            host_pte,
+            SocPteMode::WriteBack,
+        );
+        q.set_wire_bytes_per_entry(Some(51));
+        let mut costs = Vec::new();
+        let mut now = SimTime::ZERO;
+        for round in 0..3u32 {
+            for v in 0..9 {
+                match q.push(now, &mut ic, round * 10 + v) {
+                    Ok(out) => costs.push(out.cpu.as_ns()),
+                    Err(_) => costs.push(u64::MAX),
+                }
+            }
+            costs.push(q.flush(now, &mut ic).as_ns());
+            now = ic.dma.busy_until();
+            costs.push(now.as_ns());
+            let polled = q.poll_nic(now, &mut ic, 5);
+            costs.push(polled.cpu.as_ns());
+            costs.push(polled.items.len() as u64);
+            costs.push(q.sync_credits(now, &mut ic).as_ns());
+            costs.push(q.sync_credits(now + SimTime::from_us(1), &mut ic).as_ns());
+            let polled = q.poll_nic(now, &mut ic, 16);
+            costs.push(polled.cpu.as_ns());
+            costs.push(q.sync_credits(now + SimTime::from_us(2), &mut ic).as_ns());
+            now += SimTime::from_us(3);
+        }
+        // The NIC-producer direction refreshes credits locally.
+        let mut back = WaveQueue::<u32>::new(
+            &mut ic,
+            Direction::NicToHost,
+            Transport::Dma(DmaMode::Async),
+            8,
+            2,
+            host_pte,
+            SocPteMode::WriteBack,
+        );
+        costs.push(back.push(now, &mut ic, 1).unwrap().cpu.as_ns());
+        costs.push(back.flush(now, &mut ic).as_ns());
+        costs.push(back.sync_credits(now, &mut ic).as_ns());
+        (costs, ic.mmio.stats())
+    }
+
+    #[test]
+    fn dma_queue_maps_one_line_and_keeps_its_costs() {
+        let mut ic = Interconnect::pcie();
+        for (transport, lines) in [
+            (Transport::Mmio, 64 * 2 + 1),
+            (Transport::Dma(DmaMode::Async), 1),
+        ] {
+            let before = ic.mmio.mapped_lines();
+            let q = WaveQueue::<u32>::new(
+                &mut ic,
+                Direction::HostToNic,
+                transport,
+                64,
+                9,
+                PteType::WriteCombining,
+                SocPteMode::WriteBack,
+            );
+            assert_eq!(ic.mmio.mapped_lines() - before, lines, "{transport:?}");
+            assert_eq!(q.head_line().line, lines - 1);
+        }
+        // Captured from the full-ring mapping: where the head line sits
+        // in the region changes no cost and no counter. Per round: nine
+        // pushes (the ninth finds no credit), the flush doorbell, the
+        // batch's arrival, a 5-entry poll and its entry count, two
+        // credit refreshes, a poll of the rest and a third refresh.
+        const FULL: u64 = u64::MAX;
+        let pushes = [14, 14, 14, 14, 14, 14, 14, 14, FULL];
+        let tail = [4, 33, 11];
+        for (pte, syncs, misses) in [
+            (PteType::WriteCombining, [[750; 3]; 3], 9),
+            (PteType::Uncacheable, [[750; 3]; 3], 9),
+            (PteType::WriteThrough, [[750, 2, 2], [2; 3], [2; 3]], 1),
+        ] {
+            let mut expected = Vec::new();
+            for (arrive, [s1, s2, s3]) in [770, 4540, 8310].into_iter().zip(syncs) {
+                expected.extend(pushes);
+                expected.extend([150, arrive, 418, 5, s1, s2, 264, s3]);
+            }
+            expected.extend(tail);
+            let (costs, stats) = dma_queue_costs(pte);
+            assert_eq!(costs, expected, "{pte:?}");
+            assert_eq!(
+                stats,
+                MmioStats {
+                    read_misses: misses,
+                    read_hits: 9 - misses,
+                    ..MmioStats::default()
+                },
+                "{pte:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn host_poll_of_a_dma_queue_reads_host_dram() {
+        let mut ic = Interconnect::pcie();
+        let mut q = WaveQueue::<u64>::new(
+            &mut ic,
+            Direction::NicToHost,
+            Transport::Dma(DmaMode::Async),
+            4,
+            8,
+            PteType::WriteThrough,
+            SocPteMode::WriteBack,
+        );
+        for v in 0..3 {
+            q.push(SimTime::ZERO, &mut ic, v).unwrap();
+        }
+        q.flush(SimTime::ZERO, &mut ic);
+        let done = ic.dma.busy_until();
+        assert_eq!(q.invalidate_head(done, &mut ic, 3), SimTime::ZERO);
+        assert_eq!(q.prefetch_head(done, &mut ic), SimTime::ZERO);
+        assert!(q
+            .poll_host(done - SimTime::from_ns(1), &mut ic, 8)
+            .items
+            .is_empty());
+        let out = q.poll_host(done, &mut ic, 8);
+        assert_eq!(out.items, vec![0, 1, 2]);
+        // One cached load per entry line, plus the head publication (a
+        // posted write every capacity/4 = 1 pops) to the one mapped line.
+        let write = SimTime::from_ns(ic.cfg.mmio_write_uc_ns);
+        assert_eq!(out.cpu, (SimTime::from_ns(ic.cfg.wt_hit_ns) + write) * 3);
+        assert_eq!(ic.mmio.stats().read_misses + ic.mmio.stats().read_hits, 0);
     }
 }
