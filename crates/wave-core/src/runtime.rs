@@ -515,6 +515,39 @@ impl<M, D: Copy> AgentRuntime<M, D> {
         cpu: CpuModel,
         cfg: &RuntimeConfig,
     ) -> Self {
+        let (msg_q, slots) = Self::map(ic, cfg);
+        AgentRuntime {
+            agent: Agent::start(id, core, cpu),
+            msg_q,
+            slots,
+            pump_armed: false,
+            pickup: cfg.pickup,
+            load_events: 0,
+            tenant: 0,
+        }
+    }
+
+    /// Rebuilds the runtime for `cfg` (e.g. to resize its slot table):
+    /// unmaps its message-queue and slot regions from the host's MMIO
+    /// model, freeing their per-line state, and maps fresh ones. The
+    /// agent (decision count, serial clock, last decision, lifecycle
+    /// state), the load counter and the tenant carry over. Consumes the
+    /// runtime, since every later access to the old regions would panic.
+    pub fn rebuild(self, ic: &mut Interconnect, cfg: &RuntimeConfig) -> Self {
+        ic.mmio.unmap_region(self.msg_q.region());
+        ic.mmio.unmap_region(self.slots.region);
+        let (msg_q, slots) = Self::map(ic, cfg);
+        AgentRuntime {
+            msg_q,
+            slots,
+            pump_armed: false,
+            pickup: cfg.pickup,
+            ..self
+        }
+    }
+
+    /// Maps the message queue, then the slot table.
+    fn map(ic: &mut Interconnect, cfg: &RuntimeConfig) -> (WaveQueue<M>, SlotTable<D>) {
         let mut msg_q = WaveQueue::new(
             ic,
             Direction::HostToNic,
@@ -532,26 +565,7 @@ impl<M, D: Copy> AgentRuntime<M, D> {
             cfg.decision_pte,
             cfg.soc_pte,
         );
-        let agent = Agent::start(id, core, cpu);
-        AgentRuntime {
-            agent,
-            msg_q,
-            slots,
-            pump_armed: false,
-            pickup: cfg.pickup,
-            load_events: 0,
-            tenant: 0,
-        }
-    }
-
-    /// Tears the runtime down: unmaps its message-queue and slot
-    /// regions from the host's MMIO model, freeing their per-line
-    /// state. Consumes the runtime, since every later access to those
-    /// regions would panic. A caller that rebuilds a runtime (e.g. to
-    /// resize its slot table) releases the old one this way.
-    pub fn unmap(self, ic: &mut Interconnect) {
-        ic.mmio.unmap_region(self.msg_q.region());
-        ic.mmio.unmap_region(self.slots.region);
+        (msg_q, slots)
     }
 
     // --- Host side: message submission ---------------------------------
@@ -1046,40 +1060,54 @@ mod tests {
         assert!(empty.is_none());
     }
 
-    fn dma_runtime(ic: &mut Interconnect) -> AgentRuntime<u64, u64> {
-        let cfg = RuntimeConfig {
+    fn dma_config(slots: u32) -> RuntimeConfig {
+        RuntimeConfig {
             queue_capacity: 1 << 12,
             msg_words: 8,
             decision_words: 6,
-            slots: 8,
+            slots,
             msg_transport: Transport::Dma(DmaMode::Async),
             wire_bytes_per_msg: Some(8),
             msg_pte: PteType::WriteCombining,
             decision_pte: PteType::WriteThrough,
             soc_pte: SocPteMode::WriteBack,
             pickup: SimTime::from_ns(100),
-        };
+        }
+    }
+
+    fn dma_runtime(ic: &mut Interconnect) -> AgentRuntime<u64, u64> {
         AgentRuntime::new(
             ic,
             AgentId(1),
             CoreClass::NicArm,
             CpuModel::mount_evans(),
-            &cfg,
+            &dma_config(8),
         )
     }
 
     #[test]
     fn unmap_releases_the_queue_and_slot_lines() {
         let mut ic = Interconnect::pcie();
-        let mmio = runtime(&mut ic);
+        let _mmio = runtime(&mut ic);
         let mapped = ic.mmio.mapped_lines();
         // The DMA runtime maps its head-pointer line and 8 slot lines.
-        let dma = dma_runtime(&mut ic);
+        let mut dma = dma_runtime(&mut ic);
         assert_eq!(ic.mmio.mapped_lines(), mapped + 1 + 8);
-        dma.unmap(&mut ic);
-        assert_eq!(ic.mmio.mapped_lines(), mapped);
-        mmio.unmap(&mut ic);
-        assert_eq!(ic.mmio.mapped_lines(), 0);
+        dma.set_tenant(3);
+        dma.run_raw(SimTime::from_us(1), SimTime::from_us(4));
+        dma.record_decision(SimTime::from_us(2));
+        dma.note_load(5);
+        // A rebuild for 3 slots unmaps the old regions and maps 1 + 3
+        // lines; the agent, its load counter and its tenant carry over.
+        let dma = dma.rebuild(&mut ic, &dma_config(3));
+        assert_eq!(ic.mmio.mapped_lines(), mapped + 1 + 3);
+        assert_eq!(dma.slots_ref().len(), 3);
+        assert_eq!(dma.decisions(), 1);
+        assert_eq!(dma.agent().last_decision_at(), SimTime::from_us(2));
+        assert_eq!(dma.busy_until(), SimTime::from_us(5));
+        assert_eq!(dma.load_events(), 6);
+        assert_eq!(dma.tenant(), 3);
+        assert!(dma.is_running());
     }
 
     #[test]

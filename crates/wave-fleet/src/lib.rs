@@ -74,9 +74,10 @@ pub struct FleetConfig {
     pub hosts: u32,
     /// Executor worker threads (`1` = sequential reference; any value
     /// produces bit-identical results). The executor runs on
-    /// `min(workers, hosts + 1, available_parallelism)` threads, the
-    /// calling thread included, each advancing a fixed range of nodes
-    /// and skipping idle ones; see [`FleetExecutor::new`].
+    /// `min(workers, hosts + 1, cores)` threads
+    /// ([`wave_sim::par::cores`]), the calling thread included, each
+    /// advancing a fixed range of nodes and skipping idle ones; see
+    /// [`FleetExecutor::new`].
     pub workers: usize,
     /// Per-host template. Its `workload`, `warmup`, and `duration` are
     /// overwritten by the fleet driver; everything else (cores, agents,

@@ -18,6 +18,7 @@
 //!   Carries the committed reference and history forward unchanged.
 
 use wave_lab::engine;
+use wave_sim::par;
 
 /// The gated workload: the full-model scheduling sim is what wave-lab
 /// sweeps actually feel, and the arena/queue work lives on its hot path.
@@ -114,7 +115,7 @@ fn main() {
         // Same for the fleet efficiency (and the core count it was
         // measured on), so the CI fleet gate compares against the exact
         // budget it will re-measure.
-        let cores = engine::bench_cores();
+        let cores = par::cores();
         let eff = [
             engine::fleet_cell(&qr1, cores),
             engine::fleet_cell(&qr2, cores),
@@ -136,7 +137,7 @@ fn main() {
         result,
         quick_reference,
         history,
-        cores: engine::bench_cores(),
+        cores: par::cores(),
     };
     engine::write_bench_json(path, &artifact).expect("write BENCH_engine.json");
     println!("wrote {}", path.display());
@@ -147,7 +148,7 @@ fn main() {
 /// two forms: same cores as the committed reference → 0.9× ratio floor;
 /// different cores → absolute floor. Exits nonzero on a breach.
 fn fleet_gate(committed: &str, result: &engine::EngineBenchResult) {
-    let cores = engine::bench_cores();
+    let cores = par::cores();
     let Some(cell) = engine::fleet_cell(result, cores) else {
         eprintln!("fleet gate: fleet rows missing from this run");
         std::process::exit(1);

@@ -8,6 +8,7 @@ use wave_lab::{
     engine, fig4, fig5, fig6, fleet, mem, mem_scaling, rebalance, scaling, table2, table3, tenancy,
     traces, upi,
 };
+use wave_sim::par;
 
 fn main() {
     let t0 = std::time::Instant::now();
@@ -46,7 +47,7 @@ fn main() {
         quick_reference: engine::extract_quick_reference(&committed),
         history: engine::extract_history(&committed),
         result: bench,
-        cores: engine::bench_cores(),
+        cores: par::cores(),
     };
     engine::write_bench_json(path, &artifact).expect("write BENCH_engine.json");
     println!("wrote {}", path.display());

@@ -516,14 +516,6 @@ pub const WORKLOADS: [&str; 8] = [
     "fleet_w8",
 ];
 
-/// CPU cores available to the bench (what fleet efficiency normalizes
-/// by).
-pub fn bench_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 /// The fleet scaling cell of the v3 artifact, computed from the
 /// `fleet_w*` rows.
 #[derive(Debug, Clone, PartialEq)]
@@ -693,7 +685,7 @@ mod tests {
             fleet_events.iter().all(|&e| e == fleet_events[0]),
             "fleet event counts diverged across workers: {fleet_events:?}"
         );
-        let cell = fleet_cell(&result, bench_cores()).expect("fleet rows present");
+        let cell = fleet_cell(&result, wave_sim::par::cores()).expect("fleet rows present");
         assert_eq!(cell.rows.len(), 4);
         assert!(cell.speedup_best > 0.0);
         assert!(cell.parallel_efficiency > 0.0);

@@ -4,6 +4,7 @@ use wave_ghost::policies::{MultiQueueShinjuku, ShinjukuPolicy};
 use wave_ghost::policy::SchedPolicy;
 use wave_ghost::sim::{SchedReport, SchedSim};
 use wave_rpc::{Fig6Scenario, SchedulerKind};
+use wave_sim::par::par_map;
 use wave_sim::stats::Curve;
 use wave_sim::SimTime;
 
@@ -82,11 +83,10 @@ pub fn run_point(cfg: &Fig6Config, scenario: Fig6Scenario, offered: f64) -> Sche
     SchedSim::new(sc, cfg.make_policy()).run()
 }
 
-/// Runs a latency-throughput curve, one simulation thread per load
-/// point.
+/// Runs a latency-throughput curve, the load points in parallel.
 pub fn run_curve(cfg: &Fig6Config, scenario: Fig6Scenario, loads: &[f64]) -> Curve {
     let mut curve = Curve::new(scenario.label());
-    let points = crate::par::par_map(loads, |&offered| {
+    let points = par_map(loads, |&offered| {
         let rep = run_point(cfg, scenario, offered);
         (rep.achieved / 1_000.0, rep.latency.p99.as_us_f64())
     });
@@ -162,14 +162,14 @@ impl Fig6Result {
 /// Runs the full scenario comparison, the four independent saturation
 /// searches in parallel.
 pub fn run(cfg: &Fig6Config) -> Fig6Result {
-    let sats = crate::par::par_map(
-        &[
+    let sats = par_map(
+        [
             Fig6Scenario::OnHostAll,
             Fig6Scenario::OnHostSchedule,
             Fig6Scenario::OffloadAll,
             Fig6Scenario::OffloadAll15,
         ],
-        |&sc| saturation(cfg, sc),
+        |sc| saturation(cfg, sc),
     );
     Fig6Result {
         onhost_all: sats[0],

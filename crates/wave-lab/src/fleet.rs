@@ -147,13 +147,6 @@ impl FleetSweepResult {
     }
 }
 
-/// Detected CPU parallelism (what `min(workers, cores)` normalizes by).
-pub fn cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 /// Runs the sweep. Cells run **serially** — each one is internally
 /// parallel and is being wall-clock timed, so overlapping them would
 /// corrupt the measurement. Panics if any cell's fingerprint diverges
@@ -208,7 +201,7 @@ pub fn run(cfg: &FleetSweepConfig) -> FleetSweepResult {
         }
     }
     FleetSweepResult {
-        cores: cores(),
+        cores: wave_sim::par::cores(),
         points,
     }
 }

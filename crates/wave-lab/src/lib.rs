@@ -25,8 +25,8 @@
 //! | [`engine`] | engine throughput — sim-events/sec, tracked in `BENCH_engine.json` |
 //! | [`fleet`] | fleet-scale parallel execution — a simulated datacenter of Wave hosts |
 //!
-//! Independent load points run in parallel on `std::thread` workers
-//! ([`par::par_map`]); each point is its own deterministic simulation.
+//! Independent load points and grid cells run in parallel through
+//! [`wave_sim::par::par_map`]; each is its own deterministic simulation.
 
 #![forbid(unsafe_code)]
 
@@ -37,7 +37,6 @@ pub mod fig6;
 pub mod fleet;
 pub mod mem;
 pub mod mem_scaling;
-pub mod par;
 pub mod rebalance;
 pub mod report;
 pub mod scaling;

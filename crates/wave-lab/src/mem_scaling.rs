@@ -21,6 +21,7 @@
 use wave_kvstore::{AccessPattern, DbFootprint, FootprintConfig};
 use wave_memmgr::{sharded_iteration_cost, RunnerConfig, ShardedSolRunner, SolConfig};
 use wave_sim::cpu::{CoreClass, CpuModel};
+use wave_sim::par::par_map;
 use wave_sim::SimTime;
 
 use crate::report::{PaperRow, Report};
@@ -148,20 +149,14 @@ pub fn run_point(cfg: &MemScalingConfig, shards: u32, scale: f64) -> MemScalingP
     }
 }
 
-/// Runs the whole grid through the [`sweep`](crate::par::sweep)
-/// launcher, cells in parallel across OS threads (each cell
-/// additionally fans its shards out on threads of its own).
+/// Runs the whole grid, cells in parallel across OS threads (each cell
+/// additionally runs its shards through [`par_map`]).
 pub fn run(cfg: &MemScalingConfig) -> MemScalingResult {
-    let grid: Vec<(String, (u32, f64))> = cfg
+    let grid = cfg
         .scales
         .iter()
-        .flat_map(|&s| {
-            cfg.shard_counts
-                .iter()
-                .map(move |&k| (format!("shards={k} scale={s}"), (k, s)))
-        })
-        .collect();
-    let points = crate::par::sweep("mem-scaling", grid, |&(k, s)| run_point(cfg, k, s)).results();
+        .flat_map(|&s| cfg.shard_counts.iter().map(move |&k| (k, s)));
+    let points = par_map(grid, |(k, s)| run_point(cfg, k, s));
     MemScalingResult { points }
 }
 

@@ -12,6 +12,7 @@
 use wave_core::OptLevel;
 use wave_ghost::policies::FifoPolicy;
 use wave_ghost::sim::{Placement, SchedConfig, SchedSim};
+use wave_sim::par::par_map;
 use wave_sim::SimTime;
 
 use crate::report::{PaperRow, Report};
@@ -134,19 +135,13 @@ pub fn run_point(cfg: &ScalingConfig, agents: u32, workers: u32) -> ScalingPoint
     }
 }
 
-/// Runs the whole grid through the [`sweep`](crate::par::sweep)
-/// launcher, load points in parallel across OS threads.
+/// Runs the whole grid, load points in parallel across OS threads.
 pub fn run(cfg: &ScalingConfig) -> ScalingResult {
-    let grid: Vec<(String, (u32, u32))> = cfg
+    let grid = cfg
         .worker_counts
         .iter()
-        .flat_map(|&w| {
-            cfg.agent_counts
-                .iter()
-                .map(move |&a| (format!("agents={a} workers={w}"), (a, w)))
-        })
-        .collect();
-    let points = crate::par::sweep("agent-scaling", grid, |&(a, w)| run_point(cfg, a, w)).results();
+        .flat_map(|&w| cfg.agent_counts.iter().map(move |&a| (a, w)));
+    let points = par_map(grid, |(a, w)| run_point(cfg, a, w));
     ScalingResult { points }
 }
 

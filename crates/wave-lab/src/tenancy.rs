@@ -40,6 +40,7 @@ use wave_ghost::policies::FifoPolicy;
 use wave_ghost::sim::{Placement, SchedConfig, SchedSim};
 use wave_pcie::config::Side;
 use wave_pcie::{DmaArbiter, DmaDirection, DmaMode, Interconnect};
+use wave_sim::par::par_map;
 use wave_sim::SimTime;
 
 use crate::report::{LatencyCdf, PaperRow, Report};
@@ -351,18 +352,11 @@ pub fn run_point(cfg: &TenancyConfig, tenants: u32, weighted: bool, capacity: f6
 /// point in parallel.
 pub fn run(cfg: &TenancyConfig) -> TenancyResult {
     let capacity = agent_capacity(cfg);
-    let grid: Vec<(String, (u32, bool))> = cfg
+    let grid = cfg
         .tenant_counts
         .iter()
-        .flat_map(|&t| {
-            [
-                (format!("T={t} weighted-fair"), (t, true)),
-                (format!("T={t} fifo"), (t, false)),
-            ]
-        })
-        .collect();
-    let points =
-        crate::par::sweep("tenancy", grid, |&(t, w)| run_point(cfg, t, w, capacity)).results();
+        .flat_map(|&t| [(t, true), (t, false)]);
+    let points = par_map(grid, |(t, w)| run_point(cfg, t, w, capacity));
     TenancyResult { capacity, points }
 }
 

@@ -42,6 +42,7 @@ use wave_ghost::sim::{Placement, SchedConfig, SchedSim};
 use wave_kvstore::{AccessPattern, DbFootprint, FootprintConfig};
 use wave_memmgr::{RunnerConfig, ShardedSolRunner, SolConfig};
 use wave_sim::cpu::{CoreClass, CpuModel};
+use wave_sim::par::par_map;
 use wave_sim::SimTime;
 
 use crate::report::{PaperRow, Report};
@@ -318,21 +319,15 @@ pub fn run_mem(cfg: &TracesConfig) -> MemTracesPoint {
     }
 }
 
-/// Runs both cells in parallel through the [`sweep`](crate::par::sweep)
-/// launcher.
+/// Runs both cells in parallel.
 pub fn run(cfg: &TracesConfig) -> TracesResult {
-    let cells = vec![
-        ("sched trace".to_string(), false),
-        ("mem phases".to_string(), true),
-    ];
-    let out = crate::par::sweep("production-traces", cells, |&mem| {
+    let out = par_map([false, true], |mem| {
         if mem {
             (None, Some(run_mem(cfg)))
         } else {
             (Some(run_sched(cfg)), None)
         }
-    })
-    .results();
+    });
     TracesResult {
         sched: out
             .iter()

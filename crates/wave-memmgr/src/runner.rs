@@ -44,7 +44,6 @@
 
 use std::collections::VecDeque;
 
-use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use wave_core::runtime::{AgentRuntime, ResourcePolicy, RuntimeConfig, SlotId, StageCost};
 use wave_core::AgentId;
@@ -54,6 +53,7 @@ use wave_pcie::{DmaDirection, DmaMode, Interconnect, PteType, SocPteMode};
 use wave_queue::Transport;
 use wave_sim::cpu::{CoreClass, CpuModel, WorkloadClass};
 use wave_sim::dist::Beta;
+use wave_sim::par::par_map;
 use wave_sim::SimTime;
 
 use crate::sol::{SolPolicy, SolStats};
@@ -313,12 +313,13 @@ impl SolRunner {
     /// ([`AgentRuntime::note_load`]), the scan-rate signal a
     /// [`wave_core::shard_map::Rebalancer`] samples.
     ///
-    /// The runtime is built on the first call and rebuilt whenever the
-    /// policy's batch count changes (a rebalance resized the shard).
-    /// A rebuild first unmaps the old runtime's queue and slot regions
-    /// ([`AgentRuntime::unmap`]), so `ic` only ever holds the live
+    /// The runtime is built on the first call and rebuilt
+    /// ([`AgentRuntime::rebuild`]) whenever the policy's batch count
+    /// changes (a rebalance resized the shard). A rebuild unmaps the
+    /// old queue and slot regions, so `ic` only ever holds the live
     /// runtime's lines: the ingest queue's head-pointer line plus one
-    /// slot line per managed batch.
+    /// slot line per managed batch. It keeps the agent, so the decision
+    /// count and serial clock run on across resizes.
     pub fn run_iteration(
         &mut self,
         ic: &mut Interconnect,
@@ -332,24 +333,18 @@ impl SolRunner {
         let wire = batches * self.cfg.wire_bytes_per_batch;
         let (scan, classify) = self.phase_costs(batches);
 
-        // (Re)build the runtime if the managed batch count changed,
-        // unmapping the one it replaces.
+        // Build the runtime on the first call; rebuild it, agent kept,
+        // if the managed batch count changed.
         if self
             .rt
             .as_ref()
             .is_none_or(|rt| rt.slots_ref().len() != policy.len())
         {
-            if let Some(old) = self.rt.take() {
-                old.unmap(ic);
-            }
             let rcfg = self.runtime_config(policy.len());
-            self.rt = Some(AgentRuntime::new(
-                ic,
-                AgentId(0),
-                self.cfg.placement,
-                self.cpu,
-                &rcfg,
-            ));
+            self.rt = Some(match self.rt.take() {
+                Some(old) => old.rebuild(ic, &rcfg),
+                None => AgentRuntime::new(ic, AgentId(0), self.cfg.placement, self.cpu, &rcfg),
+            });
         }
         let rt = self.rt.as_mut().expect("just built");
 
@@ -459,25 +454,16 @@ pub fn parallel_classify(
     seed: u64,
 ) -> u64 {
     assert!(threads >= 1, "need at least one thread");
-    let hot = Mutex::new(0u64);
     let chunk = posteriors.len().div_ceil(threads as usize).max(1);
-    std::thread::scope(|scope| {
-        for (t, chunk_data) in posteriors.chunks(chunk).enumerate() {
-            let hot = &hot;
-            scope.spawn(move || {
-                let mut rng = wave_sim::rng(seed ^ (t as u64) << 32);
-                let mut local = 0;
-                for &(alpha, beta) in chunk_data {
-                    let theta = Beta::new(alpha, beta).sample(&mut rng);
-                    if theta > threshold {
-                        local += 1;
-                    }
-                }
-                *hot.lock() += local;
-            });
-        }
-    });
-    hot.into_inner()
+    par_map(posteriors.chunks(chunk).enumerate(), |(t, chunk)| {
+        let mut rng = wave_sim::rng(seed ^ (t as u64) << 32);
+        chunk
+            .iter()
+            .filter(|&&(alpha, beta)| Beta::new(alpha, beta).sample(&mut rng) > threshold)
+            .count() as u64
+    })
+    .into_iter()
+    .sum()
 }
 
 /// Convenience: the §7.4.2 duration table — per-iteration durations for

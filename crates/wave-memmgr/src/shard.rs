@@ -18,9 +18,9 @@
 //!   per agent.
 //!
 //! Because each shard owns *all* of its mutable state, shards execute on
-//! real OS threads ([`wave_sim::par::par_map_mut`]) with no sharing and
-//! no loss of determinism — the multi-agent counterpart of
-//! [`parallel_classify`]'s multi-thread-within-one-agent guidance.
+//! real OS threads ([`wave_sim::par::par_map`] over `&mut` shards) with
+//! no sharing and no loss of determinism — the multi-agent counterpart
+//! of [`parallel_classify`]'s multi-thread-within-one-agent guidance.
 //!
 //! # Cost attribution
 //!
@@ -78,7 +78,7 @@ use wave_core::workload::{MemPhase, MemPhaseSource};
 use wave_kvstore::DbFootprint;
 use wave_pcie::Interconnect;
 use wave_sim::cpu::CpuModel;
-use wave_sim::par::par_map_mut;
+use wave_sim::par::par_map;
 use wave_sim::SimTime;
 
 use crate::runner::{IterationCost, MigrationDecision, RunnerConfig, SolRunner};
@@ -335,8 +335,8 @@ impl ShardedSolRunner {
         workload: &DbFootprint,
         now: SimTime,
     ) -> (SolStats, ShardedCost) {
-        let results = if self.threaded && self.shards.len() > 1 {
-            par_map_mut(&mut self.shards, |sh| sh.run(workload, now))
+        let results = if self.threaded {
+            par_map(&mut self.shards, |sh| sh.run(workload, now))
         } else {
             self.shards
                 .iter_mut()
@@ -667,9 +667,11 @@ mod tests {
 
     #[test]
     fn threaded_and_serial_execution_agree() {
+        // One shard more than cores, so some thread claims two.
+        let k = wave_sim::par::cores() as u32 + 1;
         let fp = world(0.001);
-        let mut a = sharded(&fp, 4);
-        let mut b = sharded(&fp, 4).with_threads(false);
+        let mut a = sharded(&fp, k);
+        let mut b = sharded(&fp, k).with_threads(false);
         let mut now = SimTime::ZERO;
         for _ in 0..2 {
             let (sa, ca) = a.run_iteration(&fp, now);
@@ -981,6 +983,13 @@ mod tests {
                 assert_eq!(
                     sh.ic.mmio.mapped_lines(),
                     1 + slots as u64,
+                    "shard {i} at step {step}"
+                );
+                // A rebuild keeps the agent: every shipped decision was
+                // recorded by the live runtime's agent.
+                assert_eq!(
+                    rt.decisions(),
+                    sh.runner.shipped_decisions(),
                     "shard {i} at step {step}"
                 );
             }

@@ -11,10 +11,11 @@
 //! i.e. in a later window. `L` is the *lookahead*.
 //!
 //! [`FleetExecutor`] advances all hosts window by window on
-//! `t = min(workers, hosts, available_parallelism)` threads. The calling
-//! thread is thread 0; thread `k` always owns the same contiguous host
-//! range `k·n/t .. (k+1)·n/t`, so a host's state stays in one core's
-//! cache. Every thread runs the same window loop:
+//! `t = min(workers, hosts, cores)` threads, started by
+//! [`crate::par::fan_out`] ([`crate::par::cores`] reads the core count).
+//! The calling thread is thread 0; thread `k` always owns the same
+//! contiguous host range `k·n/t .. (k+1)·n/t`, so a host's state stays
+//! in one core's cache. Every thread runs the same window loop:
 //!
 //! 1. **Deliver** (thread 0): pending cross-host messages whose delivery
 //!    time falls inside the next window are handed to the owning
@@ -308,12 +309,12 @@ impl<H: FleetHost> FleetExecutor<H> {
     /// Builds an executor over `hosts` with the given lookahead (the
     /// minimum cross-host latency) and requested worker count.
     ///
-    /// A run uses `min(workers, hosts, available_parallelism)` threads,
-    /// the calling thread being thread 0; more threads than cores would
-    /// only take turns at every barrier. Thread `k` of `t` always
-    /// advances hosts `k·n/t .. (k+1)·n/t`. The worker count never
-    /// changes results: every count, capped or not, is bit-identical to
-    /// `workers = 1`.
+    /// A run uses `min(workers, hosts, cores)` threads
+    /// ([`crate::par::cores`]), the calling thread being thread 0; more
+    /// threads than cores would only take turns at every barrier.
+    /// Thread `k` of `t` always advances hosts `k·n/t .. (k+1)·n/t`.
+    /// The worker count never changes results: every count, capped or
+    /// not, is bit-identical to `workers = 1`.
     ///
     /// # Panics
     ///
@@ -394,8 +395,7 @@ impl<H: FleetHost> FleetExecutor<H> {
             return self.stats;
         }
         let n = self.cells.len();
-        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-        let threads = self.workers.min(n).min(cores);
+        let threads = self.workers.min(n).min(crate::par::cores());
         // Thread k owns hosts bounds[k]..bounds[k + 1].
         let bounds: Vec<usize> = (0..=threads).map(|k| k * n / threads).collect();
         let lanes: Vec<Mutex<Lane<H::Msg>>> = (0..threads)
@@ -439,15 +439,11 @@ impl<H: FleetHost> FleetExecutor<H> {
             lookahead: *lookahead,
             barrier: &barrier,
         };
-        std::thread::scope(|s| {
-            let mut ranges = ranges.into_iter().enumerate();
-            let (_, own) = ranges.next().expect("at least one thread");
-            for (k, range) in ranges {
-                let (lane, first) = (&lanes[k], bounds[k]);
-                s.spawn(move || window.run::<H, T>(range, first, lane, None));
-            }
-            window.run(own, 0, &lanes[0], Some(&mut control));
-        });
+        crate::par::fan_out(
+            ranges.into_iter().enumerate(),
+            |(k, range)| window.run::<H, T>(range, bounds[k], &lanes[k], None),
+            |(_, own)| window.run(own, 0, &lanes[0], Some(&mut control)),
+        );
         *now = end;
         self.stats
     }
@@ -934,7 +930,7 @@ mod tests {
 
     #[test]
     fn workers_beyond_the_core_count_are_bit_identical() {
-        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        let cores = crate::par::cores();
         let (n, l, end) = (12u32, SimTime::from_us(2), SimTime::from_ms(1));
         let seeds = seeds_for(11, n);
         let base = windowed_run(n, 1, &seeds, &mut UniformTransit { latency: l }, l, end);

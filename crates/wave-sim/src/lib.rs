@@ -19,8 +19,9 @@
 //! * [`cpu`] and [`turbo`] model host x86 cores vs. SmartNIC ARM cores,
 //!   SMT siblings, per-workload-class slowdown ratios, and the bracketed
 //!   turbo-boost governor needed for the paper's Figure 5.
-//! * [`par`] fans independent simulation units (experiment grid cells,
-//!   agent shards) out across OS threads without affecting determinism.
+//! * [`par`] is the one place that starts OS threads: the fleet's
+//!   lockstep host ranges and independent simulation units (experiment
+//!   grid cells, agent shards), without affecting determinism.
 //!
 //! ## Example
 //!

@@ -1,141 +1,105 @@
-//! Thread fan-out for independent simulation units.
+//! The workspace's one place that starts OS threads.
 //!
-//! Two kinds of work in this workspace are embarrassingly parallel and
-//! fully deterministic:
+//! Two kinds of work run on real threads, both fully deterministic
+//! because no thread shares mutable state with another:
 //!
-//! * **experiment grid cells** (every load point of a latency-throughput
-//!   curve, every cell of an agent-scaling sweep) — read-only inputs,
-//!   each cell owns its RNG, results return in input order; and
-//! * **agent shards** (the K runtimes a sharded resource manager fans
-//!   its batch space across) — each shard owns *all* of its mutable
-//!   state (runtime, policy, interconnect, RNG), so shards can run on
-//!   real OS threads without sharing anything.
+//! * **lockstep parts** — the fleet executor's host ranges. Its threads
+//!   meet at a barrier every window, so they must all run at once:
+//!   [`fan_out`] gives each part its own scoped thread, the calling
+//!   thread taking the first.
+//! * **independent items** — experiment grid cells, the K shards of a
+//!   sharded memory agent, the chunks of a parallel classification.
+//!   Items differ in duration (a saturated load point next to an idle
+//!   one), so [`par_map`] runs `min(items, cores)` threads, the caller
+//!   being one of them, and each thread claims the next unclaimed item
+//!   when it finishes one. Results come back in input order.
 //!
-//! [`par_map`] covers the first shape, [`par_map_mut`] the second.
-//! Determinism is unaffected by the threading: no state is shared, and
-//! results always come back in input order.
-//!
-//! [`par_map`] runs on a **bounded worker pool** ([`workers`] threads,
-//! defaulting to the machine's parallelism) rather than a thread per
-//! item: experiment grids routinely carry dozens of multi-second cells,
-//! and an unbounded spawn oversubscribes the cores, inflating every
-//! cell's wall time and the tail of the whole sweep. Workers pull cells
-//! from a shared atomic cursor, so a long cell never blocks the queue
-//! behind it. [`par_map_mut`] keeps the thread-per-item shape — shard
-//! counts are small (K ≤ 8 everywhere in the workspace) and each shard
-//! is expected to occupy a core for the whole call.
+//! [`cores`] is the one reading of the core count: the fleet caps its
+//! part count with it, and [`par_map`] its thread count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-/// Number of pool workers [`par_map`] uses for `n_items` work items:
-/// the machine's available parallelism, clamped to the item count.
-pub fn workers(n_items: usize) -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    hw.min(n_items).max(1)
+/// The machine's available parallelism, or 1 when it cannot be read.
+#[allow(clippy::disallowed_methods)]
+pub fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Maps `f` over `items` on a bounded pool of [`workers`] threads,
-/// preserving input order in the results.
+/// Runs the first part through `caller` on the calling thread and every
+/// other part through `worker` on a scoped thread of its own; returns
+/// the results in part order once all have finished. No parts, no
+/// calls.
 ///
-/// Work is distributed dynamically: each worker claims the next
-/// unclaimed item when it finishes its current one, so heterogeneous
-/// cell durations (a saturated load point next to an idle one) balance
-/// automatically. Every `wave-lab` sweep fans out through here.
+/// `caller` is `FnOnce` and needs no `Send`, so it may hold state that
+/// must stay on the calling thread.
 ///
 /// # Panics
 ///
-/// Propagates a panic from any worker.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
+/// Resumes the first panic, in part order, of any worker once every
+/// thread has finished; a panic in `caller` propagates after the
+/// workers are joined.
+#[allow(clippy::disallowed_methods)]
+pub fn fan_out<I, R, W, C>(parts: I, worker: W, caller: C) -> Vec<R>
 where
-    T: Sync,
+    I: IntoIterator,
+    I::Item: Send,
     R: Send,
-    F: Fn(&T) -> R + Sync,
+    W: Fn(I::Item) -> R + Sync,
+    C: FnOnce(I::Item) -> R,
 {
-    let n = items.len();
-    if n == 0 {
+    let mut parts = parts.into_iter();
+    let Some(own) = parts.next() else {
         return Vec::new();
-    }
-    let cursor = AtomicUsize::new(0);
-    let results: Vec<std::sync::Mutex<Option<R>>> =
-        (0..n).map(|_| std::sync::Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers(n))
-            .map(|_| {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let r = f(&items[i]);
-                    *results[i].lock().expect("result slot poisoned") = Some(r);
-                })
-            })
-            .collect();
+    };
+    std::thread::scope(|s| {
+        let worker = &worker;
+        let handles: Vec<_> = parts.map(|p| s.spawn(move || worker(p))).collect();
+        let mut out = Vec::with_capacity(handles.len() + 1);
+        out.push(caller(own));
         for h in handles {
-            h.join().expect("simulation worker panicked");
+            out.push(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
         }
-    });
-    results
+        out
+    })
+}
+
+/// Maps `f` over `items` on `min(items, cores())` threads through
+/// [`fan_out`], preserving input order in the results.
+///
+/// Takes anything iterable whose items can cross threads: `&[T]`,
+/// `&mut [T]`, arrays, `chunks(n).enumerate()`. Each thread claims the
+/// next unclaimed item when it finishes its current one, so uneven item
+/// durations balance on their own.
+///
+/// # Panics
+///
+/// Propagates a panic from `f` on any thread.
+pub fn par_map<I, R, F>(items: I, f: F) -> Vec<R>
+where
+    I: IntoIterator,
+    I::Item: Send,
+    R: Send,
+    F: Fn(I::Item) -> R + Sync,
+{
+    let items: Vec<I::Item> = items.into_iter().collect();
+    let threads = items.len().min(cores());
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let claim = |_| {
+        let mut done = Vec::new();
+        loop {
+            let next = queue.lock().expect("no poisoned queue").next();
+            let Some((i, item)) = next else {
+                return done;
+            };
+            done.push((i, f(item)));
+        }
+    };
+    let mut done: Vec<(usize, R)> = fan_out(0..threads, claim, claim)
         .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result slot poisoned")
-                .expect("worker pool covered every item")
-        })
-        .collect()
-}
-
-/// Like [`par_map`], but also reports each item's wall-clock duration.
-///
-/// The duration covers only the closure call for that item (not queue
-/// wait), so a sweep launcher can attribute wall time to individual
-/// jobs even though the pool interleaves them.
-///
-/// # Panics
-///
-/// Propagates a panic from any worker.
-pub fn par_map_timed<T, R, F>(items: &[T], f: F) -> Vec<(R, std::time::Duration)>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map(items, |item| {
-        let start = std::time::Instant::now();
-        let r = f(item);
-        (r, start.elapsed())
-    })
-}
-
-/// Like [`par_map`], but over exclusive (`&mut`) items — one OS thread
-/// per item, results in input order.
-///
-/// This is the fan-out shape of a sharded agent deployment: each item is
-/// one shard's complete mutable world, so the borrow checker proves the
-/// threads share nothing and the run is deterministic regardless of
-/// interleaving. Shard counts are small, so no pool is needed here.
-///
-/// # Panics
-///
-/// Propagates a panic from any worker.
-pub fn par_map_mut<T, R, F>(items: &mut [T], f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(&mut T) -> R + Sync,
-{
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .iter_mut()
-            .map(|item| scope.spawn(|| f(item)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard worker panicked"))
-            .collect()
-    })
+        .flatten()
+        .collect();
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -158,7 +122,7 @@ mod tests {
     #[test]
     fn more_items_than_workers() {
         // Far more items than any machine has cores: exercises the
-        // dynamic cursor, every item must be claimed exactly once.
+        // dynamic claim, every item must be claimed exactly once.
         let xs: Vec<u64> = (0..997).collect();
         let ys = par_map(&xs, |&x| x + 1);
         assert_eq!(ys, (1..998).collect::<Vec<_>>());
@@ -188,37 +152,45 @@ mod tests {
     }
 
     #[test]
-    fn workers_clamps_to_items() {
-        assert_eq!(workers(1), 1);
-        assert!(workers(2) <= 2);
-        assert!(workers(0) >= 1);
-        assert!(workers(10_000) >= 1);
-    }
-
-    #[test]
-    fn par_map_timed_preserves_order_and_times() {
-        let xs: Vec<u64> = (0..16).collect();
-        let ys = par_map_timed(&xs, |&x| x * 2);
-        for (i, (y, dur)) in ys.iter().enumerate() {
-            assert_eq!(*y, i as u64 * 2);
-            assert!(*dur < std::time::Duration::from_secs(5));
-        }
-    }
-
-    #[test]
-    fn par_map_mut_mutates_in_place_and_preserves_order() {
-        let mut xs: Vec<u64> = (0..16).collect();
-        let ys = par_map_mut(&mut xs, |x| {
+    fn mutable_items_are_mutated_in_place_in_order() {
+        // More items than cores, so some threads claim several.
+        let n = cores() as u64 * 3 + 1;
+        let mut xs: Vec<u64> = (0..n).collect();
+        let ys = par_map(&mut xs, |x| {
             *x += 100;
             *x
         });
-        assert_eq!(xs, (100..116).collect::<Vec<_>>());
+        assert_eq!(xs, (100..100 + n).collect::<Vec<_>>());
         assert_eq!(ys, xs);
+        let none: Vec<u64> = par_map(&mut [] as &mut [u64], |x| *x);
+        assert!(none.is_empty());
     }
 
     #[test]
-    fn par_map_mut_empty_input() {
-        let ys: Vec<u64> = par_map_mut(&mut [] as &mut [u64], |&mut x| x);
-        assert!(ys.is_empty());
+    #[should_panic(expected = "part 2 failed")]
+    fn a_worker_panic_reaches_the_caller() {
+        fan_out(
+            0..4u32,
+            |p| assert!(p != 2, "part {p} failed"),
+            |p| assert_eq!(p, 0),
+        );
+    }
+
+    #[test]
+    fn fan_out_runs_the_first_part_on_the_caller() {
+        let me = std::thread::current().id();
+        let ran = fan_out(
+            0..4u32,
+            |p| (p, std::thread::current().id() == me),
+            |p| (p, std::thread::current().id() == me),
+        );
+        assert_eq!(ran, vec![(0, true), (1, false), (2, false), (3, false)]);
+        let none: Vec<()> = fan_out(0..0, |_| (), |_| ());
+        assert!(none.is_empty());
+    }
+
+    #[test]
+    fn cores_is_at_least_one() {
+        assert!(cores() >= 1);
     }
 }
